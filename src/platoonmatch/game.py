@@ -62,7 +62,8 @@ class ModelParams:
     ``deviation_penalty(chosen, preferred)`` is the cost of departing at
     ``chosen`` instead of ``preferred``; by default ``k_t * |chosen - preferred|``.
     Custom callables may replace either; a custom saving function must come
-    with an explicit ``f_max`` bound.
+    with an explicit ``f_max`` bound, and a custom penalty must be finite and
+    nonnegative on every feasible action (``Instance`` checks).
     """
 
     k_p: float = 5e-5
@@ -99,9 +100,9 @@ class Instance:
     """An immutable problem instance: network, vehicles, model parameters.
 
     Vehicle ids must be 1..N in list order; profiles are indexed the same
-    way.  Construction precomputes routes, feasible action sets, and the
-    saving-rate tables used by every evaluation, so evaluation functions
-    stay cheap inside solver loops.
+    way.  Construction precomputes routes, feasible action sets with their
+    deviation penalties, and the saving-rate tables used by every
+    evaluation, so evaluation functions stay cheap inside solver loops.
     """
 
     def __init__(
@@ -129,16 +130,27 @@ class Instance:
         self._routes: tuple[tuple[int, ...], ...] = tuple(
             network.route_indices(v.destination) for v in self.vehicles
         )
-        self._route_sets = tuple(frozenset(r) for r in self._routes)
         self._lengths = network.edge_lengths
         self._pref: tuple[float, ...] = tuple(float(v.preferred_time) for v in self.vehicles)
         self._all_times: tuple[float, ...] = tuple(sorted(set(self._pref)))
         actions = []
-        for v in self.vehicles:
+        pens = []
+        for v, pref in zip(self.vehicles, self._pref):
             lo, hi = v.window
-            actions.append(tuple(t for t in self._all_times if lo <= t <= hi))
+            acts = tuple(t for t in self._all_times if lo <= t <= hi)
+            row = tuple(self.params.deviation_penalty(a, pref) for a in acts)
+            for a, p in zip(acts, row):
+                if not (isfinite(p) and p >= 0):
+                    raise ValueError(
+                        f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
+                        "must be finite and >= 0"
+                    )
+            actions.append(acts)
+            pens.append(row)
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
         self._action_sets = tuple(frozenset(a) for a in actions)
+        #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
+        self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
 
         n = len(self.vehicles)
         bound = self.params.saving_bound()
@@ -151,10 +163,16 @@ class Instance:
                 )
             f_tab[m] = val
         r_tab = [0.0] * (n + 1)
+        dg_tab = [0.0] * (n + 1)
         for m in range(1, n + 1):
             r_tab[m] = r_tab[m - 1] + f_tab[m]
+            dg_tab[m] = m * f_tab[m] - (m - 1) * f_tab[m - 1]
         self._f: tuple[float, ...] = tuple(f_tab)
         self._r: tuple[float, ...] = tuple(r_tab)
+        #: ``_dg[m] = g(m) - g(m-1)``, where ``g(m) = m f(m)`` is the total
+        #: saving rate of an edge carrying m platoon members: ``_dg[m] * d(e)``
+        #: is the common-utility change when edge ``e`` gains its m-th member.
+        self._dg: tuple[float, ...] = tuple(dg_tab)
 
     @property
     def n_vehicles(self) -> int:
@@ -224,22 +242,77 @@ def _platoon_edge_counts(instance: Instance, members: Iterable[int]) -> dict[int
     return counts
 
 
-def _saving_for_member(instance: Instance, idx: int, members: Sequence[int]) -> float:
-    """Platooning saving of vehicle ``idx`` when its platoon is ``members``.
+class _PlatoonState:
+    """Per-edge head counts of every occupied departure time of one profile.
 
-    ``members`` must include ``idx`` itself.  Hot path for the solvers.
+    ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
+    uses edge ``e``.  A move touches two count lists in O(|route|), and each
+    candidate action of a vehicle is scored in O(|route|) from them: this is
+    the one evaluation path of the solvers and the equilibrium check.  Every
+    route starts on the root's single outgoing edge, so ``counts[t][route[0]]``
+    is the platoon size and a list is dropped once that reaches zero.
     """
-    f = instance._f
-    lengths = instance._lengths
-    route_sets = instance._route_sets
-    total = 0.0
-    for e in instance._routes[idx]:
-        n = 0
-        for j in members:
-            if e in route_sets[j]:
-                n += 1
-        total += f[n] * lengths[e]
-    return total
+
+    def __init__(self, instance: Instance, profile: Profile):
+        self._instance = instance
+        self._empty = [0] * len(instance._lengths)
+        self.counts: dict[float, list[int]] = {}
+        for idx, t in enumerate(profile):
+            self._join(idx, t)
+
+    def _join(self, idx: int, t: float) -> None:
+        c = self.counts.get(t)
+        if c is None:
+            c = self.counts[t] = list(self._empty)
+        for e in self._instance._routes[idx]:
+            c[e] += 1
+
+    def move(self, idx: int, old: float, new: float) -> None:
+        """Vehicle ``idx`` switches its departure time from ``old`` to ``new``."""
+        route = self._instance._routes[idx]
+        c = self.counts[old]
+        for e in route:
+            c[e] -= 1
+        if not c[route[0]]:
+            del self.counts[old]
+        self._join(idx, new)
+
+    def route_sum(self, idx: int, t: float, table: Sequence[float], joining: bool) -> float:
+        """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order.
+
+        ``n(e)`` is the head count of time ``t`` on edge ``e``, plus one when
+        the vehicle is ``joining`` that time rather than already in it.
+        """
+        inst = self._instance
+        lengths = inst._lengths
+        c = self.counts.get(t, self._empty)
+        total = 0.0
+        for e in inst._routes[idx]:
+            total += table[c[e] + joining] * lengths[e]
+        return total
+
+    def selfish_values(self, idx: int, cur: float) -> list[float]:
+        """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions."""
+        inst = self._instance
+        f = inst._f
+        return [
+            self.route_sum(idx, a, f, a != cur) - p
+            for a, p in zip(inst._actions[idx], inst._pen[idx])
+        ]
+
+    def coop_values(self, idx: int, cur: float) -> list[float]:
+        """Change in the sum of all utilities if vehicle ``idx`` moved from
+        ``cur`` to each of its actions; exactly 0.0 at ``cur``."""
+        inst = self._instance
+        dg = inst._dg
+        actions = inst._actions[idx]
+        pens = inst._pen[idx]
+        leave = self.route_sum(idx, cur, dg, False)
+        pen_cur = pens[actions.index(cur)]
+        return [
+            0.0 if a == cur else self.route_sum(idx, a, dg, True) - leave - (p - pen_cur)
+            for a, p in zip(actions, pens)
+        ]
 
 
 def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:
@@ -266,12 +339,20 @@ def vehicle_utility(instance: Instance, profile: Profile, vehicle_id: int) -> fl
     """Platooning saving along the vehicle's route minus its deviation penalty."""
     _check_profile(instance, profile)
     idx = _index_of(instance, vehicle_id)
-    members = [j for j, t in enumerate(profile) if t == profile[idx]]
-    saving = _saving_for_member(instance, idx, members)
-    return saving - instance.params.deviation_penalty(profile[idx], instance._pref[idx])
+    t = profile[idx]
+    values = _PlatoonState(instance, profile).selfish_values(idx, t)
+    return values[instance._actions[idx].index(t)]
 
 
-def _potential_unchecked(instance: Instance, profile: Profile) -> float:
+def potential(instance: Instance, profile: Profile) -> float:
+    """Exact potential of the profile.
+
+    Sums ``r(n(e, C)) * d(e)`` over each platoon's edges, where ``r`` is the
+    running sum of the saving rate (``r(0) = 0``, ``r(n) - r(n-1) = f(n)``),
+    minus every vehicle's deviation penalty.  A unilateral deviation changes
+    this by exactly the deviating vehicle's utility change.
+    """
+    _check_profile(instance, profile)
     r = instance._r
     lengths = instance._lengths
     total = 0.0
@@ -285,18 +366,6 @@ def _potential_unchecked(instance: Instance, profile: Profile) -> float:
     return total
 
 
-def potential(instance: Instance, profile: Profile) -> float:
-    """Exact potential of the profile.
-
-    Sums ``r(n(e, C)) * d(e)`` over each platoon's edges, where ``r`` is the
-    running sum of the saving rate (``r(0) = 0``, ``r(n) - r(n-1) = f(n)``),
-    minus every vehicle's deviation penalty.  A unilateral deviation changes
-    this by exactly the deviating vehicle's utility change.
-    """
-    _check_profile(instance, profile)
-    return _potential_unchecked(instance, profile)
-
-
 def _total_saving_unchecked(instance: Instance, profile: Profile) -> float:
     f = instance._f
     lengths = instance._lengths
@@ -307,19 +376,15 @@ def _total_saving_unchecked(instance: Instance, profile: Profile) -> float:
     return total
 
 
-def _cooperative_unchecked(instance: Instance, profile: Profile) -> float:
+def cooperative_utility(instance: Instance, profile: Profile) -> float:
+    """Common objective of the cooperative variant: the sum of all utilities."""
+    _check_profile(instance, profile)
     pen = instance.params.deviation_penalty
     pref = instance._pref
     penalties = 0.0
     for idx, t in enumerate(profile):
         penalties += pen(t, pref[idx])
     return _total_saving_unchecked(instance, profile) - penalties
-
-
-def cooperative_utility(instance: Instance, profile: Profile) -> float:
-    """Common objective of the cooperative variant: the sum of all utilities."""
-    _check_profile(instance, profile)
-    return _cooperative_unchecked(instance, profile)
 
 
 def total_fuel_saving(instance: Instance, profile: Profile) -> float:

@@ -49,28 +49,9 @@ class SolveReport:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _candidate_values(instance: Instance, profile, idx: int, objective: str) -> list[float]:
-    """Objective value for each feasible action of vehicle ``idx``, in action order."""
-    actions = instance._actions[idx]
-    if objective == "self":
-        others: dict[float, list[int]] = {}
-        for j, t in enumerate(profile):
-            if j != idx:
-                others.setdefault(t, []).append(j)
-        pen = instance.params.deviation_penalty
-        pref = instance._pref[idx]
-        vals = []
-        for a in actions:
-            members = others.get(a)
-            members = members + [idx] if members else [idx]
-            vals.append(game._saving_for_member(instance, idx, members) - pen(a, pref))
-        return vals
-    trial = list(profile)
-    vals = []
-    for a in actions:
-        trial[idx] = a
-        vals.append(game._cooperative_unchecked(instance, trial))
-    return vals
+def _values(state: game._PlatoonState, objective: str):
+    """The kernel method scoring one vehicle's actions under ``objective``."""
+    return state.selfish_values if objective == "self" else state.coop_values
 
 
 def _pick(actions: tuple[float, ...], values: list[float], current: float) -> float:
@@ -100,8 +81,8 @@ def best_response(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     game._check_profile(instance, profile)
     idx = game._index_of(instance, vehicle_id)
-    values = _candidate_values(instance, tuple(profile), idx, objective)
-    return _pick(instance._actions[idx], values, profile[idx])
+    values = _values(game._PlatoonState(instance, profile), objective)
+    return _pick(instance._actions[idx], values(idx, profile[idx]), profile[idx])
 
 
 def _sweep_solve(
@@ -113,22 +94,20 @@ def _sweep_solve(
     n = instance.n_vehicles
     if max_sweeps is None:
         max_sweeps = 10 * n * len(instance._all_times)
-    metric = (
-        game._potential_unchecked if objective == "self" else game._cooperative_unchecked
-    )
+    metric = game.potential if objective == "self" else game.cooperative_utility
     s = list(instance._pref if start is None else start)
+    state = game._PlatoonState(instance, s)
+    values = _values(state, objective)
     history = [tuple(s)]
     trace = [metric(instance, s)]
     rounds = 0
     while True:
         changed = False
         for idx in range(n):
-            a = _pick(
-                instance._actions[idx],
-                _candidate_values(instance, s, idx, objective),
-                s[idx],
-            )
-            if a != s[idx]:
+            cur = s[idx]
+            a = _pick(instance._actions[idx], values(idx, cur), cur)
+            if a != cur:
+                state.move(idx, cur, a)
                 s[idx] = a
                 changed = True
         rounds += 1
@@ -180,20 +159,21 @@ def coop_solve(
     return _sweep_solve(instance, "cooperative", max_sweeps, start=tuple(start))
 
 
-def _is_nash_unchecked(instance: Instance, profile, tol: float) -> bool:
-    groups = game._groups(profile)
-    pen = instance.params.deviation_penalty
-    for idx in range(instance.n_vehicles):
-        cur = profile[idx]
-        pref = instance._pref[idx]
-        cur_val = game._saving_for_member(instance, idx, groups[cur]) - pen(cur, pref)
-        for a in instance._actions[idx]:
-            if a == cur:
-                continue
-            members = groups.get(a)
-            members = members + [idx] if members else [idx]
-            val = game._saving_for_member(instance, idx, members) - pen(a, pref)
-            if val > cur_val + tol:
+def _is_nash_state(instance: Instance, state: game._PlatoonState, profile, tol: float) -> bool:
+    """No vehicle of ``profile`` gains more than ``tol`` by deviating alone.
+
+    ``profile`` may be a prefix of the profile ``state`` holds; the vehicles
+    after it are not checked.  Each vehicle stops at its first profitable
+    deviation.
+    """
+    f = instance._f
+    route_sum = state.route_sum
+    for idx, cur in enumerate(profile):
+        actions = instance._actions[idx]
+        pens = instance._pen[idx]
+        bar = route_sum(idx, cur, f, False) - pens[actions.index(cur)] + tol
+        for a, p in zip(actions, pens):
+            if a != cur and route_sum(idx, a, f, True) - p > bar:
                 return False
     return True
 
@@ -201,11 +181,11 @@ def _is_nash_unchecked(instance: Instance, profile, tol: float) -> bool:
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
     """True iff no vehicle can gain more than ``tol`` by deviating alone."""
     game._check_profile(instance, profile)
-    return _is_nash_unchecked(instance, tuple(profile), tol)
+    return _is_nash_state(instance, game._PlatoonState(instance, profile), profile, tol)
 
 
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
-    """All pure Nash equilibria, by checking every profile against is_nash.
+    """All pure Nash equilibria, by checking every profile of the space.
 
     Raises ValueError when the profile space exceeds ``cap``.  Never empty:
     a finite exact potential game always has a pure NE.
@@ -213,8 +193,28 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     size = math.prod(len(a) for a in instance._actions)
     if size > cap:
         raise ValueError(f"profile space holds {size} profiles, exceeding the cap {cap}")
+    *head, tail = instance._actions
+    last = len(head)
+    profile = [a[0] for a in instance._actions]
+    state = game._PlatoonState(instance, profile)
     out: set[tuple[float, ...]] = set()
-    for s in itertools.product(*instance._actions):
-        if _is_nash_unchecked(instance, s, GAIN_EPS):
-            out.add(s)
+    # One state follows the walk with a move per changed coordinate.  The
+    # last vehicle's utilities depend on the others only, so its best
+    # responses are found once per head, and only those profiles get the
+    # full check of the other vehicles.
+    for h in itertools.product(*head):
+        for idx, t in enumerate(h):
+            if t != profile[idx]:
+                state.move(idx, profile[idx], t)
+                profile[idx] = t
+        values = state.selfish_values(last, profile[last])
+        top = max(values)
+        for t, v in zip(tail, values):
+            if top > v + GAIN_EPS:
+                continue
+            if t != profile[last]:
+                state.move(last, profile[last], t)
+                profile[last] = t
+            if _is_nash_state(instance, state, h, GAIN_EPS):
+                out.add(h + (t,))
     return out

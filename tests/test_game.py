@@ -81,6 +81,18 @@ def test_saving_rate_bound_enforced(fig3):
         Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))] , params)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_penalty_rejected_naming_vehicle_and_action(fig3, bad):
+    # a NaN penalty used to reach an AssertionError inside the solvers
+    params = ModelParams(penalty=lambda chosen, pref: 0.0 if chosen == pref else bad)
+    vehicles = [
+        Vehicle(1, "v4", 0.0, (-500.0, 500.0)),
+        Vehicle(2, "v5", 100.0, (-400.0, 600.0)),
+    ]
+    with pytest.raises(ValueError, match=rf"vehicle 1: deviation penalty {bad!r} for action 100\.0"):
+        Instance(fig3, vehicles, params)
+
+
 # ---------------------------------------------------------------------------
 # feasible actions
 
