@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .experiments import (
     trend_summary,
 )
 from .game import Instance, ModelParams, Vehicle, evaluate
-from .network import PRESETS, build_network
+from .network import PRESETS, InputError, build_network
 from .solvers import ConvergenceError, brd_solve, brute_force_nash, coop_solve, is_nash
 
 
@@ -52,19 +53,36 @@ def _fmt(x: float) -> str:
 # scenario parsing
 
 
+#: ``generate`` key -> (ScenarioConfig field, value type, usage argument)
+_GENERATE_KEYS = {
+    "n": ("n_vehicles", int, "<count>"),
+    "alpha": ("alpha", float, "<seconds>"),
+    "halfwidth": ("window_halfwidth", float, "<seconds>"),
+    "seed": ("seed", int, "<int>"),
+    "pool": ("destination_pool", tuple, "<node> [<node> ...]"),
+}
+
+
 class _Parser:
+    """Syntax and declaration rules of a scenario file.
+
+    The rules of the model itself belong to the types that hold the values
+    (``RoadNetwork``, ``Vehicle``, ``ModelParams``, ``Instance``,
+    ``ScenarioConfig``); ``lines`` maps the ``subject`` of their
+    ``InputError`` to the line that declared it.
+    """
+
     def __init__(self):
         self.preset = None
         self.root = None
-        self.root_line = None
         self.nodes: list[str] = []
         self.edges: list[tuple[str, str, float]] = []
-        self.edge_lines: dict[tuple[str, str], int] = {}
         self.params: dict[str, float] = {}
-        self.vehicles: list[tuple[str, float, float, float]] = []
-        self.vehicle_lines: list[int] = []
-        self.gen: dict[str, object] = {}
-        self.net_anchor = None  # first network directive line, for late errors
+        self.vehicles: list[Vehicle] = []
+        self.gen: dict[str, object] = {}  # ScenarioConfig keyword arguments
+        # Subject ``None`` (a property of the whole network) anchors at the
+        # first network line; a repeated edge maps to its last declaration.
+        self.lines: dict[object, int] = {}
 
     def fail(self, lineno: int, msg: str):
         raise ScenarioError(f"line {lineno}: {msg}")
@@ -87,8 +105,7 @@ class _Parser:
             self.fail(lineno, f"unknown directive {head!r}")
 
     def _network(self, lineno, rest):
-        if self.net_anchor is None:
-            self.net_anchor = lineno
+        self.lines.setdefault(None, lineno)
         if not rest:
             self.fail(lineno, "incomplete network directive")
         kind = rest[0]
@@ -112,7 +129,7 @@ class _Parser:
                 self.fail(lineno, "root already declared")
             if self.edges:
                 self.fail(lineno, "the root must be declared before any edge")
-            self.root, self.root_line = rest[1], lineno
+            self.root = rest[1]
         elif kind == "node":
             if len(rest) != 2:
                 self.fail(lineno, "usage: network node <node>")
@@ -127,46 +144,31 @@ class _Parser:
             if self.root is None:
                 self.fail(lineno, "declare 'network root' before edges")
             tail, head = rest[1], rest[2]
-            length = self._float(lineno, rest[3], "edge length")
-            if not length > 0:
-                self.fail(lineno, f"edge {tail}->{head} must have a positive length, got {rest[3]}")
-            if (tail, head) in self.edge_lines:
-                self.fail(lineno, f"duplicate edge {tail}->{head} (first at line {self.edge_lines[(tail, head)]})")
-            if head == self.root:
-                self.fail(lineno, f"edge {tail}->{head} enters the root {self.root}")
-            for t, h, _ in self.edges:
-                if h == head:
-                    self.fail(lineno, f"node {head} has more than one incoming edge: {t}->{h} and {tail}->{head}")
-                if t == self.root and tail == self.root:
-                    self.fail(lineno, f"root {self.root} already has outgoing edge {t}->{h}; extra edge {tail}->{head} is not allowed")
-            self.edges.append((tail, head, length))
-            self.edge_lines[(tail, head)] = lineno
+            self.edges.append((tail, head, self._number(lineno, rest[3], float, "edge length")))
+            self.lines[(tail, head)] = lineno
         else:
             self.fail(lineno, f"unknown network directive {kind!r}")
 
     def _param(self, lineno, rest):
         if len(rest) != 2 or rest[0] not in ("k_p", "k_t"):
             self.fail(lineno, "usage: param k_p|k_t <value>")
-        value = self._float(lineno, rest[1], rest[0])
-        if value < 0:
-            self.fail(lineno, f"{rest[0]} must be >= 0, got {rest[1]}")
         if rest[0] in self.params:
             self.fail(lineno, f"{rest[0]} already declared")
-        self.params[rest[0]] = value
+        self.params[rest[0]] = self._number(lineno, rest[1], float, rest[0])
+        self.lines[rest[0]] = lineno
 
     def _vehicle(self, lineno, rest):
         if self.gen:
             self.fail(lineno, "explicit vehicles cannot be combined with a generate section")
         if len(rest) != 4:
             self.fail(lineno, "usage: vehicle <destination> <preferred> <window_lo> <window_hi>")
-        dest = rest[0]
-        pref = self._float(lineno, rest[1], "preferred time")
-        lo = self._float(lineno, rest[2], "window_lo")
-        hi = self._float(lineno, rest[3], "window_hi")
-        if not lo <= pref <= hi:
-            self.fail(lineno, f"preferred time {rest[1]} outside window [{rest[2]}, {rest[3]}]")
-        self.vehicles.append((dest, pref, lo, hi))
-        self.vehicle_lines.append(lineno)
+        pref, lo, hi = (
+            self._number(lineno, token, float, what)
+            for token, what in zip(rest[1:], ("preferred time", "window_lo", "window_hi"))
+        )
+        vid = len(self.vehicles) + 1
+        self.lines[vid] = lineno
+        self.vehicles.append(Vehicle(id=vid, destination=rest[0], preferred_time=pref, window=(lo, hi)))
 
     def _generate(self, lineno, rest):
         if self.vehicles:
@@ -174,134 +176,64 @@ class _Parser:
         if not rest:
             self.fail(lineno, "incomplete generate directive")
         key = rest[0]
-        if key in self.gen:
-            self.fail(lineno, f"generate {key} already declared")
-        if key == "n":
-            if len(rest) != 2:
-                self.fail(lineno, "usage: generate n <count>")
-            n = self._int(lineno, rest[1], "vehicle count")
-            if n < 1:
-                self.fail(lineno, f"vehicle count must be >= 1, got {n}")
-            self.gen["n"] = n
-        elif key == "alpha":
-            if len(rest) != 2:
-                self.fail(lineno, "usage: generate alpha <seconds>")
-            alpha = self._float(lineno, rest[1], "alpha")
-            if alpha < 0:
-                self.fail(lineno, f"alpha must be >= 0, got {rest[1]}")
-            self.gen["alpha"] = alpha
-        elif key == "halfwidth":
-            if len(rest) != 2:
-                self.fail(lineno, "usage: generate halfwidth <seconds>")
-            h = self._float(lineno, rest[1], "halfwidth")
-            if h < 0:
-                self.fail(lineno, f"halfwidth must be >= 0, got {rest[1]}")
-            self.gen["halfwidth"] = h
-        elif key == "seed":
-            if len(rest) != 2:
-                self.fail(lineno, "usage: generate seed <int>")
-            seed = self._int(lineno, rest[1], "seed")
-            if seed < 0:
-                self.fail(lineno, f"seed must be >= 0, got {seed}")
-            self.gen["seed"] = seed
-        elif key == "pool":
-            if len(rest) < 2:
-                self.fail(lineno, "usage: generate pool <node> [<node> ...]")
-            self.gen["pool"] = tuple(rest[1:])
-            self.gen["pool_line"] = lineno
-        else:
+        if key not in _GENERATE_KEYS:
             self.fail(lineno, f"unknown generate directive {key!r}")
+        field, kind, arg = _GENERATE_KEYS[key]
+        if field in self.gen:
+            self.fail(lineno, f"generate {key} already declared")
+        if len(rest) < 2 or (kind is not tuple and len(rest) != 2):
+            self.fail(lineno, f"usage: generate {key} {arg}")
+        if kind is tuple:
+            self.gen[field] = tuple(rest[1:])
+        else:
+            self.gen[field] = self._number(lineno, rest[1], kind, f"generate {key}")
+        self.lines[field] = lineno
 
-    def _float(self, lineno, token, what) -> float:
+    def _number(self, lineno, token, kind, what):
         try:
-            return float(token)
+            return kind(token)
         except ValueError:
-            self.fail(lineno, f"{what} must be a number, got {token!r}")
+            article = "an integer" if kind is int else "a number"
+            self.fail(lineno, f"{what} must be {article}, got {token!r}")
 
-    def _int(self, lineno, token, what) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            self.fail(lineno, f"{what} must be an integer, got {token!r}")
-
-
-def _parse_text(text: str) -> _Parser:
-    parser = _Parser()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parser.feed(lineno, line)
-    return parser
+    def instance(self, seed_override: int | None) -> Instance:
+        if self.preset is not None:
+            network = PRESETS[self.preset]()
+        elif self.edges:
+            nodes = {self.root, *self.nodes, *(n for t, h, _ in self.edges for n in (t, h))}
+            network = build_network(nodes, self.edges, self.root)
+        else:
+            raise ScenarioError("scenario has no network section (preset or root+edges)")
+        params = ModelParams(**self.params)
+        if self.vehicles:
+            return Instance(network, self.vehicles, params)
+        if not self.gen:
+            raise ScenarioError("scenario defines neither vehicles nor a generate section")
+        for key in ("n", "alpha"):
+            if _GENERATE_KEYS[key][0] not in self.gen:
+                raise ScenarioError(f"generate section is missing 'generate {key}'")
+        if seed_override is not None:
+            self.gen["seed"] = seed_override
+            self.lines.pop("seed", None)  # the override has no line
+        return generate_scenario(ScenarioConfig(network=network, params=params, **self.gen))
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Instance:
     """Parse a scenario file into an Instance, resolving any generator section.
 
     ``seed_override`` replaces the file's generator seed (explicit-vehicle
-    files ignore it: they contain no randomness).
+    files ignore it: they contain no randomness).  Every rejection of a
+    declared value names the line that declared it.
     """
-    path = Path(path)
-    parsed = _parse_text(path.read_text())
-
-    if parsed.preset is not None:
-        network = PRESETS[parsed.preset]()
-    elif parsed.edges:
-        nodes = set(parsed.nodes) | {parsed.root}
-        for t, h, _ in parsed.edges:
-            nodes.update((t, h))
-        try:
-            network = build_network(nodes, parsed.edges, parsed.root)
-        except ValueError as exc:
-            raise ScenarioError(f"line {parsed.net_anchor}: {exc}") from exc
-    else:
-        raise ScenarioError("scenario has no network section (preset or root+edges)")
-
-    params = ModelParams(
-        k_p=parsed.params.get("k_p", 5e-5),
-        k_t=parsed.params.get("k_t", 1.5e-2),
-    )
-
-    if parsed.vehicles and parsed.gen:
-        raise ScenarioError("scenario mixes explicit vehicles with a generate section")
-    if parsed.vehicles:
-        for lineno, (dest, _, _, _) in zip(parsed.vehicle_lines, parsed.vehicles):
-            if dest not in network.nodes:
-                raise ScenarioError(f"line {lineno}: unknown destination {dest!r}")
-            if dest == network.root:
-                raise ScenarioError(
-                    f"line {lineno}: destination equals the origin {network.root!r}"
-                )
-        vehicles = [
-            Vehicle(id=i + 1, destination=dest, preferred_time=pref, window=(lo, hi))
-            for i, (dest, pref, lo, hi) in enumerate(parsed.vehicles)
-        ]
-        try:
-            return Instance(network, vehicles, params)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    if parsed.gen:
-        if "n" not in parsed.gen:
-            raise ScenarioError("generate section is missing 'generate n'")
-        if "alpha" not in parsed.gen:
-            raise ScenarioError("generate section is missing 'generate alpha'")
-        pool = parsed.gen.get("pool", ())
-        seed = parsed.gen.get("seed", 0)
-        if seed_override is not None:
-            seed = seed_override
-        try:
-            config = ScenarioConfig(
-                network=network,
-                n_vehicles=parsed.gen["n"],
-                alpha=parsed.gen["alpha"],
-                destination_pool=pool,
-                seed=seed,
-                window_halfwidth=parsed.gen.get("halfwidth", 500.0),
-                params=params,
-            )
-        except ValueError as exc:
-            anchor = parsed.gen.get("pool_line")
-            prefix = f"line {anchor}: " if anchor and "pool" in str(exc) else ""
-            raise ScenarioError(f"{prefix}{exc}") from exc
-        return generate_scenario(config)
-    raise ScenarioError("scenario defines neither vehicles nor a generate section")
+    text = Path(path).read_text()
+    parser = _Parser()
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            parser.feed(lineno, line)
+        return parser.instance(seed_override)
+    except InputError as exc:
+        line = parser.lines.get(exc.subject)
+        raise ScenarioError(f"line {line}: {exc}" if line else str(exc)) from exc
 
 
 def dump_scenario(instance: Instance) -> str:
@@ -341,7 +273,7 @@ def _solve_payload(instance: Instance, report, mode: str) -> dict:
         "total_fuel_saving": outcome.total_fuel_saving,
         "nonplatooning_fraction": outcome.nonplatooning_fraction,
         "rounds": report.rounds,
-        "converged": report.converged,
+        "converged": True,  # non-convergence raises ConvergenceError
     }
 
 
@@ -413,6 +345,8 @@ def _parse_alphas(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"alpha range must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"alpha range bounds must be finite, got {spec!r}")
         if step <= 0:
             raise ValueError(f"alpha step must be > 0, got {step}")
         out = []
@@ -516,12 +450,6 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

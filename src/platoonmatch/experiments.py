@@ -21,13 +21,14 @@ import json
 import struct
 import warnings
 from dataclasses import asdict, dataclass, replace
+from math import isfinite
 
 import numpy as np
 from scipy import stats
 
 from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
-from .network import RoadNetwork
+from .network import InputError, RoadNetwork
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -68,23 +69,25 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.n_vehicles < 1:
-            raise ValueError(f"n_vehicles must be >= 1, got {self.n_vehicles}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.window_halfwidth >= 0:
-            raise ValueError(f"window_halfwidth must be >= 0, got {self.window_halfwidth}")
+            raise InputError("n_vehicles", f"n_vehicles must be >= 1, got {self.n_vehicles}")
+        for name in ("alpha", "window_halfwidth"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise InputError(name, f"{name} must be finite and >= 0, got {value}")
         if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+            raise InputError("seed", f"seed must be a nonnegative integer, got {self.seed}")
         pool = tuple(self.destination_pool)
         if not pool:
             pool = tuple(sorted(self.network.nodes - {self.network.root}))
         for node in pool:
             if node not in self.network.nodes:
-                raise ValueError(f"destination pool references unknown node {node!r}")
+                raise InputError(
+                    "destination_pool", f"destination pool references unknown node {node!r}"
+                )
             if node == self.network.root:
-                raise ValueError("destination pool must not contain the root")
+                raise InputError("destination_pool", "destination pool must not contain the root")
         if not pool:
-            raise ValueError("destination pool is empty")
+            raise InputError("destination_pool", "destination pool is empty")
         object.__setattr__(self, "destination_pool", pool)
 
 

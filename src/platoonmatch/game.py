@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Iterable, Sequence
 
-from .network import RoadNetwork
+from .network import InputError, RoadNetwork
 
 Profile = Sequence[float]
 
@@ -41,12 +41,13 @@ class Vehicle:
 
     def __post_init__(self):
         if self.id < 1:
-            raise ValueError(f"vehicle id must be >= 1, got {self.id}")
+            raise InputError(self.id, f"vehicle id must be >= 1, got {self.id}")
         lo, hi = self.window
         if not (isfinite(lo) and isfinite(hi) and isfinite(self.preferred_time)):
-            raise ValueError(f"vehicle {self.id}: non-finite time bounds")
+            raise InputError(self.id, f"vehicle {self.id}: non-finite time bounds")
         if not lo <= self.preferred_time <= hi:
-            raise ValueError(
+            raise InputError(
+                self.id,
                 f"vehicle {self.id}: preferred time {self.preferred_time} "
                 f"outside window [{lo}, {hi}]"
             )
@@ -73,14 +74,14 @@ class ModelParams:
     f_max: float | None = None
 
     def __post_init__(self):
-        if not (isfinite(self.k_p) and self.k_p >= 0):
-            raise ValueError(f"k_p must be finite and >= 0, got {self.k_p}")
-        if not (isfinite(self.k_t) and self.k_t >= 0):
-            raise ValueError(f"k_t must be finite and >= 0, got {self.k_t}")
+        for name in ("k_p", "k_t"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise InputError(name, f"{name} must be finite and >= 0, got {value}")
         if self.saving is not None and self.f_max is None:
-            raise ValueError("a custom saving function requires an explicit f_max")
+            raise InputError("f_max", "a custom saving function requires an explicit f_max")
         if self.f_max is not None and not (isfinite(self.f_max) and self.f_max >= 0):
-            raise ValueError(f"f_max must be finite and >= 0, got {self.f_max}")
+            raise InputError("f_max", f"f_max must be finite and >= 0, got {self.f_max}")
 
     def saving_rate(self, n: int) -> float:
         if self.saving is not None:
@@ -121,10 +122,10 @@ class Instance:
             raise ValueError(f"vehicle ids must be 1..N in order, got {ids}")
         for v in self.vehicles:
             if v.destination not in network.nodes:
-                raise ValueError(f"vehicle {v.id}: unknown destination {v.destination!r}")
+                raise InputError(v.id, f"vehicle {v.id}: unknown destination {v.destination!r}")
             if v.destination == network.root:
-                raise ValueError(
-                    f"vehicle {v.id}: destination equals the origin {network.root!r}"
+                raise InputError(
+                    v.id, f"vehicle {v.id}: destination equals the origin {network.root!r}"
                 )
 
         self._routes: tuple[tuple[int, ...], ...] = tuple(
@@ -163,16 +164,18 @@ class Instance:
                 )
             f_tab[m] = val
         r_tab = [0.0] * (n + 1)
-        dg_tab = [0.0] * (n + 1)
         for m in range(1, n + 1):
             r_tab[m] = r_tab[m - 1] + f_tab[m]
-            dg_tab[m] = m * f_tab[m] - (m - 1) * f_tab[m - 1]
         self._f: tuple[float, ...] = tuple(f_tab)
         self._r: tuple[float, ...] = tuple(r_tab)
-        #: ``_dg[m] = g(m) - g(m-1)``, where ``g(m) = m f(m)`` is the total
-        #: saving rate of an edge carrying m platoon members: ``_dg[m] * d(e)``
-        #: is the common-utility change when edge ``e`` gains its m-th member.
-        self._dg: tuple[float, ...] = tuple(dg_tab)
+        #: ``_g[m] = m f(m)`` is the total saving rate of an edge carrying m
+        #: platoon members.
+        self._g: tuple[float, ...] = tuple(m * f for m, f in enumerate(f_tab))
+        #: ``_dg[m] = g(m) - g(m-1)``: ``_dg[m] * d(e)`` is the common-utility
+        #: change when edge ``e`` gains its m-th member.
+        self._dg: tuple[float, ...] = (0.0,) + tuple(
+            b - a for a, b in zip(self._g, self._g[1:])
+        )
 
     @property
     def n_vehicles(self) -> int:
@@ -344,6 +347,29 @@ def vehicle_utility(instance: Instance, profile: Profile, vehicle_id: int) -> fl
     return values[instance._actions[idx].index(t)]
 
 
+def _edge_sum(instance: Instance, groups: dict[float, list[int]], table: Sequence[float]) -> float:
+    """``sum table[n(e, C)] * d(e)`` over the edges of every platoon ``C``.
+
+    Reported numbers keep this summation order (groups in first-seen order,
+    each platoon's edges in first-use order): it fixes their bits.
+    """
+    lengths = instance._lengths
+    total = 0.0
+    for members in groups.values():
+        for e, n in _platoon_edge_counts(instance, members).items():
+            total += table[n] * lengths[e]
+    return total
+
+
+def _potential(instance: Instance, profile: Profile, groups: dict[float, list[int]]) -> float:
+    total = _edge_sum(instance, groups, instance._r)
+    pen = instance.params.deviation_penalty
+    pref = instance._pref
+    for idx, t in enumerate(profile):
+        total -= pen(t, pref[idx])
+    return total
+
+
 def potential(instance: Instance, profile: Profile) -> float:
     """Exact potential of the profile.
 
@@ -353,27 +379,7 @@ def potential(instance: Instance, profile: Profile) -> float:
     this by exactly the deviating vehicle's utility change.
     """
     _check_profile(instance, profile)
-    r = instance._r
-    lengths = instance._lengths
-    total = 0.0
-    for members in _groups(profile).values():
-        for e, n in _platoon_edge_counts(instance, members).items():
-            total += r[n] * lengths[e]
-    pen = instance.params.deviation_penalty
-    pref = instance._pref
-    for idx, t in enumerate(profile):
-        total -= pen(t, pref[idx])
-    return total
-
-
-def _total_saving_unchecked(instance: Instance, profile: Profile) -> float:
-    f = instance._f
-    lengths = instance._lengths
-    total = 0.0
-    for members in _groups(profile).values():
-        for e, n in _platoon_edge_counts(instance, members).items():
-            total += n * f[n] * lengths[e]
-    return total
+    return _potential(instance, profile, _groups(profile))
 
 
 def cooperative_utility(instance: Instance, profile: Profile) -> float:
@@ -384,13 +390,13 @@ def cooperative_utility(instance: Instance, profile: Profile) -> float:
     penalties = 0.0
     for idx, t in enumerate(profile):
         penalties += pen(t, pref[idx])
-    return _total_saving_unchecked(instance, profile) - penalties
+    return _edge_sum(instance, _groups(profile), instance._g) - penalties
 
 
 def total_fuel_saving(instance: Instance, profile: Profile) -> float:
     """Total platooning saving in liters (penalties excluded, 1 dollar = 1 liter)."""
     _check_profile(instance, profile)
-    return _total_saving_unchecked(instance, profile)
+    return _edge_sum(instance, _groups(profile), instance._g)
 
 
 def nonplatooning_fraction(instance: Instance, profile: Profile) -> float:
@@ -404,37 +410,21 @@ def evaluate(instance: Instance, profile: Profile) -> Outcome:
     """Partition, per-vehicle utilities, potential, and summary metrics."""
     _check_profile(instance, profile)
     groups = _groups(profile)
+    state = _PlatoonState(instance, profile)
     f = instance._f
-    r = instance._r
-    lengths = instance._lengths
     pen = instance.params.deviation_penalty
     pref = instance._pref
-
-    utilities = [0.0] * instance.n_vehicles
-    pot = 0.0
-    saving_total = 0.0
-    singles = 0
-    for members in groups.values():
-        counts = _platoon_edge_counts(instance, members)
-        for e, n in counts.items():
-            pot += r[n] * lengths[e]
-            saving_total += n * f[n] * lengths[e]
-        for j in members:
-            utilities[j] = sum(f[counts[e]] * lengths[e] for e in instance._routes[j])
-        if len(members) == 1:
-            singles += 1
-    for idx, t in enumerate(profile):
-        p = pen(t, pref[idx])
-        utilities[idx] -= p
-        pot -= p
-
+    utilities = tuple(
+        state.route_sum(idx, t, f, False) - pen(t, pref[idx]) for idx, t in enumerate(profile)
+    )
     partition = tuple(
         (t, tuple(j + 1 for j in members)) for t, members in sorted(groups.items())
     )
+    singles = sum(1 for members in groups.values() if len(members) == 1)
     return Outcome(
         partition=partition,
-        utilities=tuple(utilities),
-        potential=pot,
-        total_fuel_saving=saving_total,
+        utilities=utilities,
+        potential=_potential(instance, profile, groups),
+        total_fuel_saving=_edge_sum(instance, groups, instance._g),
         nonplatooning_fraction=singles / instance.n_vehicles,
     )

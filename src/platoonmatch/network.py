@@ -15,6 +15,20 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+class InputError(ValueError):
+    """An input that breaks a rule of the model.
+
+    ``subject`` names the rejected input: an ``(tail, head)`` edge, a
+    vehicle id, a field name, or ``None`` for a property of the whole
+    network (a cycle, an unreachable node).  Scenario files map it back to
+    the line that declared it.
+    """
+
+    def __init__(self, subject, message: str):
+        super().__init__(message)
+        self.subject = subject
+
+
 @dataclass(frozen=True)
 class Route:
     """The unique path from the network root to one destination node."""
@@ -50,56 +64,58 @@ class RoadNetwork:
             (t, h): k for k, (t, h, _) in enumerate(self.edges)
         }
         self.edge_lengths: tuple[float, ...] = tuple(d for _, _, d in self.edges)
-        self._length_of = {(t, h): d for t, h, d in self.edges}
         self._routes: dict[str, Route] = {
             node: self._trace(node) for node in self.nodes if node != self.root
-        }
-        self._route_sets = {
-            node: frozenset(r.edges) for node, r in self._routes.items()
         }
 
     def _validate(self) -> dict[str, str]:
         if self.root not in self.nodes:
-            raise ValueError(f"root {self.root!r} is not among the nodes")
-        parent: dict[str, str] = {}
+            raise InputError(None, f"root {self.root!r} is not among the nodes")
+        # Duplicates go first: every later per-edge error then names an edge
+        # that occurs once, so its subject identifies a single declaration.
         seen: set[tuple[str, str]] = set()
-        root_out: list[tuple[str, str]] = []
-        for tail, head, length in self.edges:
-            if tail not in self.nodes or head not in self.nodes:
-                raise ValueError(f"edge {tail}->{head} references an unknown node")
+        for tail, head, _ in self.edges:
             if (tail, head) in seen:
-                raise ValueError(f"duplicate edge {tail}->{head}")
+                raise InputError((tail, head), f"duplicate edge {tail}->{head}")
             seen.add((tail, head))
+        parent: dict[str, str] = {}
+        root_out: tuple[str, str] | None = None
+        for tail, head, length in self.edges:
+            edge = (tail, head)
+            if tail not in self.nodes or head not in self.nodes:
+                raise InputError(edge, f"edge {tail}->{head} references an unknown node")
             if not (math.isfinite(length) and length > 0):
-                raise ValueError(
-                    f"edge {tail}->{head} must have a positive finite length, got {length!r}"
+                raise InputError(
+                    edge,
+                    f"edge {tail}->{head} must have a positive finite length, got {length!r}",
                 )
             if head == self.root:
-                raise ValueError(
-                    f"root {self.root} must have no incoming edge, got {tail}->{head}"
+                raise InputError(
+                    edge, f"root {self.root} must have no incoming edge, got {tail}->{head}"
                 )
             if head in parent:
-                raise ValueError(
+                raise InputError(
+                    edge,
                     f"node {head} has more than one incoming edge: "
-                    f"{parent[head]}->{head} and {tail}->{head}"
+                    f"{parent[head]}->{head} and {tail}->{head}",
                 )
             parent[head] = tail
             if tail == self.root:
-                root_out.append((tail, head))
-        if len(root_out) != 1:
-            if not root_out:
-                raise ValueError(
-                    f"root {self.root} must have exactly one outgoing edge, found none"
-                )
-            listed = ", ".join(f"{t}->{h}" for t, h in root_out)
-            raise ValueError(
-                f"root {self.root} must have exactly one outgoing edge, "
-                f"found {len(root_out)}: {listed}"
+                if root_out is not None:
+                    raise InputError(
+                        edge,
+                        f"root {self.root} must have exactly one outgoing edge, found "
+                        f"{root_out[0]}->{root_out[1]} and {tail}->{head}",
+                    )
+                root_out = edge
+        if root_out is None:
+            raise InputError(
+                None, f"root {self.root} must have exactly one outgoing edge, found none"
             )
         for node in self.nodes:
             if node != self.root and node not in parent:
-                raise ValueError(
-                    f"node {node} is unreachable from the root (no incoming edge)"
+                raise InputError(
+                    None, f"node {node} is unreachable from the root (no incoming edge)"
                 )
         # Each non-root node has one parent, so any walk that fails to reach
         # the root must loop.
@@ -108,7 +124,7 @@ class RoadNetwork:
             cur = node
             while cur != self.root:
                 if cur in visited:
-                    raise ValueError(f"edges form a cycle through node {cur}")
+                    raise InputError(None, f"edges form a cycle through node {cur}")
                 visited.add(cur)
                 cur = parent[cur]
         return parent
@@ -121,8 +137,9 @@ class RoadNetwork:
             chain.append((p, cur))
             cur = p
         chain.reverse()
+        lengths = self.edge_lengths
         return Route(
-            destination, tuple(chain), float(sum(self._length_of[e] for e in chain))
+            destination, tuple(chain), float(sum(lengths[self.edge_ids[e]] for e in chain))
         )
 
     def route_indices(self, destination: str) -> tuple[int, ...]:
@@ -188,7 +205,7 @@ def count_on_edge(
     e = (str(edge[0]), str(edge[1]))
     if e not in network.edge_ids:
         raise ValueError(f"unknown edge {e[0]}->{e[1]}")
-    return sum(1 for d in destinations if e in network._route_sets[str(d)])
+    return sum(1 for d in destinations if e in route_to(network, d).edges)
 
 
 #: 13-node / 12-edge benchmark tree used by the bundled scenarios and demos.

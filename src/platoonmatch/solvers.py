@@ -45,7 +45,6 @@ class SolveReport:
     final: tuple[float, ...]
     history: list[tuple[float, ...]] = field(repr=False)
     rounds: int = 0
-    converged: bool = True
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -124,7 +123,6 @@ def _sweep_solve(
         final=tuple(s),
         history=history,
         rounds=rounds,
-        converged=True,
         objective_trace=trace,
     )
 

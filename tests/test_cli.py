@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,71 @@ def test_parse_rejects_missing_network(tmp_path):
     bad.write_text("vehicle v4 0 -10 10\n")
     with pytest.raises(ValueError, match="no network section"):
         load_scenario(bad)
+
+
+def assert_rejected(tmp_path, capsys, scenario, argv, pattern):
+    """The CLI exits 1 with one ``error:`` line matching ``pattern``; with a
+    ``scenario`` text, ``argv`` follows ``solve <file>``."""
+    if scenario is not None:
+        path = tmp_path / "bad.scn"
+        path.write_text(scenario)
+        argv = ("solve", str(path), *argv)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert re.fullmatch(rf"error: {pattern}[^\n]*\n", err), err
+
+
+NET = "network root v1\nnetwork edge v1 v2 100\n"
+FIG3 = "network preset paper-fig3\n"
+GEN = FIG3 + "generate n 3\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, argv, pattern",
+    [
+        (NET + "network edge v2 v3 inf\nvehicle v3 0 -10 10\n", (),
+         r"line 3: edge v2->v3 must have a positive finite length"),
+        (FIG3 + "param k_p inf\nvehicle v4 0 -10 10\n", (), r"line 2: k_p must be finite"),
+        (FIG3 + "param k_p 1e-4\nparam k_t nan\nvehicle v4 0 -10 10\n", (),
+         r"line 3: k_t must be finite"),
+        (FIG3 + "vehicle v4 0 -10 10\nvehicle v5 0 -inf inf\n", (),
+         r"line 3: vehicle 2: non-finite"),
+        (GEN + "generate alpha nan\n", (), r"line 3: alpha must be finite"),
+        (GEN + "generate alpha inf\n", (), r"line 3: alpha must be finite"),
+        (GEN + "generate alpha 100\ngenerate halfwidth inf\n", (),
+         r"line 4: window_halfwidth must be finite"),
+        (FIG3 + "generate n 0\ngenerate alpha 100\n", (), r"line 2: n_vehicles must be >= 1"),
+        (None, ("sweep", "--n", "2", "--reps", "1", "--alphas", "inf"), r"alpha must be finite"),
+        (None, ("sweep", "--n", "2", "--reps", "1", "--halfwidth", "inf"),
+         r"window_halfwidth must be finite"),
+    ],
+    ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
+         "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf"],
+)
+def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
+    assert_rejected(tmp_path, capsys, scenario, argv, pattern)
+
+
+@pytest.mark.parametrize(
+    "scenario, argv, pattern",
+    [
+        # a repeated edge is reported at the repeat, ahead of its other faults
+        (NET + "network edge v2 v3 -1\nnetwork edge v2 v3 5\n", (), r"line 4: duplicate edge v2->v3"),
+        (NET + "network edge v2 v1 5\n", (), r"line 3: root v1 must have no incoming edge"),
+        # a fault of the whole network falls back to the first network line
+        ("# comment\n" + NET + "network edge v3 v4 5\nnetwork edge v4 v3 5\n", (),
+         r"line 2: edges form a cycle"),
+        (GEN + "generate alpha 100\ngenerate pool v2 v99\n", (),
+         r"line 4: destination pool references unknown node 'v99'"),
+        # a command-line seed has no line in the file
+        (GEN + "generate alpha 100\ngenerate seed 3\n", ("--seed", "-1"),
+         r"seed must be a nonnegative integer, got -1"),
+        (None, ("sweep", "--alphas", "0:inf:150"), r"alpha range bounds must be finite"),
+    ],
+    ids=["duplicate-edge", "edge-into-root", "cycle", "pool", "seed-override", "sweep-range-inf"],
+)
+def test_rejection_anchors(tmp_path, capsys, scenario, argv, pattern):
+    assert_rejected(tmp_path, capsys, scenario, argv, pattern)
 
 
 def test_generator_seed_override(tmp_path):
