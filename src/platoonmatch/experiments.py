@@ -207,8 +207,11 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    alphas = sorted({float(a) for a in alphas})
+    if not alphas:
+        raise ValueError("alphas must hold at least one value")
     rows = []
-    for alpha in sorted({float(a) for a in alphas}):
+    for alpha in alphas:
         ne_sav, ne_frac, ne_rounds = [], [], []
         co_sav, co_frac, co_rounds = [], [], []
         for rep in range(replications):

@@ -21,8 +21,9 @@ vehicle's utility change.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
 from .network import InputError, RoadNetwork
@@ -102,8 +103,9 @@ class Instance:
 
     Vehicle ids must be 1..N in list order; profiles are indexed the same
     way.  Construction precomputes routes, feasible action sets with their
-    deviation penalties, and the saving-rate tables used by every
-    evaluation, so evaluation functions stay cheap inside solver loops.
+    deviation penalties, the saving-rate tables used by every evaluation and
+    each vehicle's saving when it departs alone, so evaluation functions stay
+    cheap inside solver loops.
     """
 
     def __init__(
@@ -134,18 +136,20 @@ class Instance:
         self._lengths = network.edge_lengths
         self._pref: tuple[float, ...] = tuple(float(v.preferred_time) for v in self.vehicles)
         self._all_times: tuple[float, ...] = tuple(sorted(set(self._pref)))
+        times = self._all_times
+        pen = self.params.deviation_penalty
         actions = []
         pens = []
         for v, pref in zip(self.vehicles, self._pref):
             lo, hi = v.window
-            acts = tuple(t for t in self._all_times if lo <= t <= hi)
-            row = tuple(self.params.deviation_penalty(a, pref) for a in acts)
-            for a, p in zip(acts, row):
-                if not (isfinite(p) and p >= 0):
-                    raise ValueError(
-                        f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
-                        "must be finite and >= 0"
-                    )
+            acts = times[bisect_left(times, lo):bisect_right(times, hi)]
+            row = tuple([pen(a, pref) for a in acts])
+            if not all(0.0 <= p < inf for p in row):
+                a, p = next((a, p) for a, p in zip(acts, row) if not 0.0 <= p < inf)
+                raise ValueError(
+                    f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
+                    "must be finite and >= 0"
+                )
             actions.append(acts)
             pens.append(row)
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
@@ -176,6 +180,21 @@ class Instance:
         self._dg: tuple[float, ...] = (0.0,) + tuple(
             b - a for a, b in zip(self._g, self._g[1:])
         )
+        #: ``_alone[idx]`` and ``_alone_dg[idx]``: ``sum f(1) d(e)`` and
+        #: ``sum dg(1) d(e)`` over vehicle ``idx``'s route in route order, the
+        #: saving term of every departure time nobody occupies.
+        self._alone = self._route_sums(f_tab[1])
+        self._alone_dg = self._route_sums(self._dg[1])
+
+    def _route_sums(self, rate: float) -> tuple[float, ...]:
+        lengths = self._lengths
+        out = []
+        for route in self._routes:
+            total = 0.0
+            for e in route:
+                total += rate * lengths[e]
+            out.append(total)
+        return tuple(out)
 
     @property
     def n_vehicles(self) -> int:
@@ -250,8 +269,9 @@ class _PlatoonState:
 
     ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
     uses edge ``e``.  A move touches two count lists in O(|route|), and each
-    candidate action of a vehicle is scored in O(|route|) from them: this is
-    the one evaluation path of the solvers and the equilibrium check.  Every
+    candidate action of a vehicle is scored from them, in O(|route|) when the
+    time is occupied and in O(1) when it is not: this is the one evaluation
+    path of the solvers and the equilibrium check.  Every
     route starts on the root's single outgoing edge, so ``counts[t][route[0]]``
     is the platoon size and a list is dropped once that reaches zero.
     """
@@ -295,27 +315,58 @@ class _PlatoonState:
         return total
 
     def selfish_values(self, idx: int, cur: float) -> list[float]:
-        """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions."""
+        """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions.
+
+        An unoccupied action forms a one-vehicle platoon, so it is scored in
+        O(1) from ``Instance._alone``; an occupied one walks the route.
+        """
         inst = self._instance
         f = inst._f
-        return [
-            self.route_sum(idx, a, f, a != cur) - p
-            for a, p in zip(inst._actions[idx], inst._pen[idx])
-        ]
+        lengths = inst._lengths
+        route = inst._routes[idx]
+        alone = inst._alone[idx]
+        counts = self.counts
+        out = []
+        for a, p in zip(inst._actions[idx], inst._pen[idx]):
+            c = counts.get(a)
+            if c is None:
+                out.append(alone - p)
+                continue
+            joining = a != cur
+            total = 0.0
+            for e in route:
+                total += f[c[e] + joining] * lengths[e]
+            out.append(total - p)
+        return out
 
     def coop_values(self, idx: int, cur: float) -> list[float]:
         """Change in the sum of all utilities if vehicle ``idx`` moved from
-        ``cur`` to each of its actions; exactly 0.0 at ``cur``."""
+        ``cur`` to each of its actions; exactly 0.0 at ``cur``.  Unoccupied
+        actions cost O(1), as in ``selfish_values``."""
         inst = self._instance
         dg = inst._dg
+        lengths = inst._lengths
+        route = inst._routes[idx]
         actions = inst._actions[idx]
         pens = inst._pen[idx]
         leave = self.route_sum(idx, cur, dg, False)
         pen_cur = pens[actions.index(cur)]
-        return [
-            0.0 if a == cur else self.route_sum(idx, a, dg, True) - leave - (p - pen_cur)
-            for a, p in zip(actions, pens)
-        ]
+        join_empty = inst._alone_dg[idx] - leave
+        counts = self.counts
+        out = []
+        for a, p in zip(actions, pens):
+            if a == cur:
+                out.append(0.0)
+                continue
+            c = counts.get(a)
+            if c is None:
+                out.append(join_empty - (p - pen_cur))
+                continue
+            total = 0.0
+            for e in route:
+                total += dg[c[e] + 1] * lengths[e]
+            out.append(total - leave - (p - pen_cur))
+        return out
 
 
 def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:

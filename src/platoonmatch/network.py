@@ -67,6 +67,9 @@ class RoadNetwork:
         self._routes: dict[str, Route] = {
             node: self._trace(node) for node in self.nodes if node != self.root
         }
+        self._route_ids: dict[str, tuple[int, ...]] = {
+            node: tuple(self.edge_ids[e] for e in r.edges) for node, r in self._routes.items()
+        }
 
     def _validate(self) -> dict[str, str]:
         if self.root not in self.nodes:
@@ -144,8 +147,7 @@ class RoadNetwork:
 
     def route_indices(self, destination: str) -> tuple[int, ...]:
         """Edge positions (into ``self.edges``) along the route to a node."""
-        r = route_to(self, destination)
-        return tuple(self.edge_ids[e] for e in r.edges)
+        return self._route_ids[route_to(self, destination).destination]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoadNetwork):

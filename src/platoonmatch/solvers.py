@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import game
 from .game import Instance, Profile
@@ -38,14 +39,20 @@ class SolveReport:
     ``history[k]`` is the profile after sweep ``k`` (``history[0]`` is the
     initial profile); ``objective_trace`` matches it entry by entry, holding
     the potential for the selfish solver and the common utility for the
-    cooperative one.  ``rounds`` counts executed sweeps, including the final
-    one that confirmed the fixed point.
+    cooperative one, and is computed on first access.  ``rounds`` counts
+    executed sweeps, including the final one that confirmed the fixed point.
     """
 
     final: tuple[float, ...]
     history: list[tuple[float, ...]] = field(repr=False)
-    rounds: int = 0
-    objective_trace: list[float] = field(default_factory=list)
+    rounds: int
+    instance: Instance = field(repr=False, compare=False)
+    objective: str = field(repr=False, compare=False)
+
+    @cached_property
+    def objective_trace(self) -> list[float]:
+        metric = game.potential if self.objective == "self" else game.cooperative_utility
+        return [metric(self.instance, s) for s in self.history]
 
 
 def _values(state: game._PlatoonState, objective: str):
@@ -93,12 +100,10 @@ def _sweep_solve(
     n = instance.n_vehicles
     if max_sweeps is None:
         max_sweeps = 10 * n * len(instance._all_times)
-    metric = game.potential if objective == "self" else game.cooperative_utility
     s = list(instance._pref if start is None else start)
     state = game._PlatoonState(instance, s)
     values = _values(state, objective)
     history = [tuple(s)]
-    trace = [metric(instance, s)]
     rounds = 0
     while True:
         changed = False
@@ -111,7 +116,6 @@ def _sweep_solve(
                 changed = True
         rounds += 1
         history.append(tuple(s))
-        trace.append(metric(instance, s))
         if not changed:
             break
         if rounds >= max_sweeps:
@@ -119,12 +123,7 @@ def _sweep_solve(
                 f"no fixed point after {rounds} sweeps (cap {max_sweeps}); "
                 "this should be impossible for a finite exact potential game"
             )
-    return SolveReport(
-        final=tuple(s),
-        history=history,
-        rounds=rounds,
-        objective_trace=trace,
-    )
+    return SolveReport(tuple(s), history, rounds, instance, objective)
 
 
 def brd_solve(instance: Instance, max_sweeps: int | None = None) -> SolveReport:
@@ -165,13 +164,26 @@ def _is_nash_state(instance: Instance, state: game._PlatoonState, profile, tol: 
     deviation.
     """
     f = instance._f
-    route_sum = state.route_sum
+    lengths = instance._lengths
+    counts = state.counts
     for idx, cur in enumerate(profile):
         actions = instance._actions[idx]
         pens = instance._pen[idx]
-        bar = route_sum(idx, cur, f, False) - pens[actions.index(cur)] + tol
+        route = instance._routes[idx]
+        alone = instance._alone[idx]
+        bar = state.route_sum(idx, cur, f, False) - pens[actions.index(cur)] + tol
         for a, p in zip(actions, pens):
-            if a != cur and route_sum(idx, a, f, True) - p > bar:
+            if a == cur:
+                continue
+            c = counts.get(a)
+            if c is None:
+                value = alone - p
+            else:
+                value = 0.0
+                for e in route:
+                    value += f[c[e] + 1] * lengths[e]
+                value -= p
+            if value > bar:
                 return False
     return True
 

@@ -121,6 +121,12 @@ def custom_params():
     )
 
 
+def lone_saving_params():
+    """A model where a lone truck saves too (``f(1) > 0``), so every departure
+    time nobody occupies has a nonzero saving term."""
+    return ModelParams(saving=lambda n: 0.002 + 0.003 * (n - 1) / n, f_max=0.005)
+
+
 # ---------------------------------------------------------------------------
 # Full-recompute solvers: the evaluation code the library used before its
 # incremental platoon-state kernel, kept as a differential oracle.  Every

@@ -159,9 +159,12 @@ GEN = FIG3 + "generate n 3\n"
         (None, ("sweep", "--n", "2", "--reps", "1", "--alphas", "inf"), r"alpha must be finite"),
         (None, ("sweep", "--n", "2", "--reps", "1", "--halfwidth", "inf"),
          r"window_halfwidth must be finite"),
+        (None, ("sweep", "--alphas", ","), r"alphas must hold at least one value"),
+        (None, ("sweep", "--alphas", "1:0:1"), r"alphas must hold at least one value"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
-         "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf"],
+         "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
+         "sweep-alphas-empty", "sweep-alphas-empty-range"],
 )
 def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)

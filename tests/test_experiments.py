@@ -166,6 +166,16 @@ def test_coop_objective_never_below_its_start(fig3):
         ) - 1e-9
 
 
+def test_sweep_never_computes_objective_traces(base_config, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep computed an objective trace")
+
+    monkeypatch.setattr(pm.game, "potential", refuse)
+    monkeypatch.setattr(pm.game, "cooperative_utility", refuse)
+    result = sweep_alpha(base_config, [0.0, 300.0], replications=3)
+    assert len(result.rows) == 2
+
+
 def test_sweep_csv_layout(base_config):
     res = sweep_alpha(base_config, [0.0, 150.0], 2)
     lines = res.to_csv().splitlines()

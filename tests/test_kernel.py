@@ -27,6 +27,7 @@ from platoonmatch import (
 )
 from _reference import (
     custom_params,
+    lone_saving_params,
     random_instance,
     random_profile,
     ref_brute_force_nash,
@@ -39,13 +40,14 @@ from _reference import (
 
 @st.composite
 def instances(draw):
-    """Random trees and vehicles under the default or the custom model.
+    """Random trees and vehicles under the default, the custom or the
+    lone-saving model.
 
     Spreads of preferred times up to 8000 s against windows of at most
     +-1000 s leave most vehicles with some times outside their window.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = custom_params() if draw(st.booleans()) else None
+    params = draw(st.sampled_from([ModelParams, custom_params, lone_saving_params]))()
     alpha_hi = draw(st.sampled_from([500.0, 2000.0, 8000.0]))
     return random_instance(
         rng, max_nodes=8, max_vehicles=6, alpha_hi=alpha_hi, params=params

@@ -146,6 +146,14 @@ def test_brd_trace_is_potential(fig3):
         assert val == pytest.approx(potential(inst, prof), abs=1e-12)
 
 
+def test_objective_trace_is_the_metric_of_each_history_entry():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        inst = random_instance(rng, max_nodes=8, max_vehicles=6)
+        for report, metric in ((brd_solve(inst), potential), (coop_solve(inst), cooperative_utility)):
+            assert report.objective_trace == [metric(inst, p) for p in report.history]
+
+
 def test_brd_cap_raises(fig3):
     inst = same_dest_pair(fig3)
     with pytest.raises(ConvergenceError, match="sweeps"):
