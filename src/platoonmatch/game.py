@@ -180,21 +180,18 @@ class Instance:
         self._dg: tuple[float, ...] = (0.0,) + tuple(
             b - a for a, b in zip(self._g, self._g[1:])
         )
-        #: ``_alone[idx]`` and ``_alone_dg[idx]``: ``sum f(1) d(e)`` and
-        #: ``sum dg(1) d(e)`` over vehicle ``idx``'s route in route order, the
-        #: saving term of every departure time nobody occupies.
-        self._alone = self._route_sums(f_tab[1])
-        self._alone_dg = self._route_sums(self._dg[1])
-
-    def _route_sums(self, rate: float) -> tuple[float, ...]:
+        #: ``_alone[idx] = sum f(1) d(e)`` over vehicle ``idx``'s route in route
+        #: order: the saving term of every departure time nobody occupies and,
+        #: as ``dg(1) = f(1)`` holds bit for bit, the common-utility gain of
+        #: joining one.
         lengths = self._lengths
-        out = []
+        alone = []
         for route in self._routes:
             total = 0.0
             for e in route:
-                total += rate * lengths[e]
-            out.append(total)
-        return tuple(out)
+                total += f_tab[1] * lengths[e]
+            alone.append(total)
+        self._alone: tuple[float, ...] = tuple(alone)
 
     @property
     def n_vehicles(self) -> int:
@@ -351,7 +348,7 @@ class _PlatoonState:
         pens = inst._pen[idx]
         leave = self.route_sum(idx, cur, dg, False)
         pen_cur = pens[actions.index(cur)]
-        join_empty = inst._alone_dg[idx] - leave
+        join_empty = inst._alone[idx] - leave
         counts = self.counts
         out = []
         for a, p in zip(actions, pens):
