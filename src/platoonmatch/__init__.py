@@ -12,12 +12,7 @@ from .network import (
     PAPER_FIG3_EDGES,
     PRESETS,
     RoadNetwork,
-    Route,
-    build_network,
-    count_on_edge,
-    edges_of,
     paper_fig3,
-    route_to,
 )
 from .game import (
     Instance,
@@ -28,7 +23,6 @@ from .game import (
     evaluate,
     feasible_actions,
     nonplatooning_fraction,
-    platoon_partition,
     potential,
     total_fuel_saving,
     vehicle_utility,
@@ -62,12 +56,7 @@ __all__ = [
     "PAPER_FIG3_EDGES",
     "PRESETS",
     "RoadNetwork",
-    "Route",
-    "build_network",
-    "count_on_edge",
-    "edges_of",
     "paper_fig3",
-    "route_to",
     "Instance",
     "ModelParams",
     "Outcome",
@@ -76,7 +65,6 @@ __all__ = [
     "evaluate",
     "feasible_actions",
     "nonplatooning_fraction",
-    "platoon_partition",
     "potential",
     "total_fuel_saving",
     "vehicle_utility",

@@ -37,7 +37,7 @@ from .experiments import (
     trend_summary,
 )
 from .game import Instance, ModelParams, Vehicle, evaluate
-from .network import PRESETS, InputError, build_network
+from .network import PRESETS, InputError, RoadNetwork
 from .solvers import ConvergenceError, brd_solve, brute_force_nash, coop_solve, is_nash
 
 
@@ -201,7 +201,7 @@ class _Parser:
             network = PRESETS[self.preset]()
         elif self.edges:
             nodes = {self.root, *self.nodes, *(n for t, h, _ in self.edges for n in (t, h))}
-            network = build_network(nodes, self.edges, self.root)
+            network = RoadNetwork(nodes, self.edges, self.root)
         else:
             raise ScenarioError("scenario has no network section (preset or root+edges)")
         params = ModelParams(**self.params)

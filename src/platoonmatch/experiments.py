@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import struct
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from math import isfinite
 
 import numpy as np
@@ -182,12 +181,6 @@ class SweepResult:
                 + [_fmt(getattr(row, col)) for col in SWEEP_CSV_COLUMNS[2:]]
             )
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"replications": self.replications, "rows": [asdict(r) for r in self.rows]},
-            indent=2,
-        )
 
 
 def _fmt(x: float) -> str:

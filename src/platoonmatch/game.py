@@ -131,7 +131,7 @@ class Instance:
                 )
 
         self._routes: tuple[tuple[int, ...], ...] = tuple(
-            network.route_indices(v.destination) for v in self.vehicles
+            network.routes[v.destination] for v in self.vehicles
         )
         self._lengths = network.edge_lengths
         self._pref: tuple[float, ...] = tuple(float(v.preferred_time) for v in self.vehicles)
@@ -373,17 +373,6 @@ def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:
     preferred time.  Duplicate preferred times collapse to one action.
     """
     return instance._actions[_index_of(instance, vehicle_id)]
-
-
-def platoon_partition(
-    instance: Instance, profile: Profile
-) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """Group vehicles by identical chosen time; singletons travel alone."""
-    _check_profile(instance, profile)
-    groups = _groups(profile)
-    return tuple(
-        (t, tuple(j + 1 for j in members)) for t, members in sorted(groups.items())
-    )
 
 
 def vehicle_utility(instance: Instance, profile: Profile, vehicle_id: int) -> float:

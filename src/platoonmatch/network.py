@@ -1,17 +1,16 @@
-"""Directed-tree road network: construction, validation, and route queries.
+"""Directed-tree road network: construction, validation, and routes.
 
 All trucks start at a single origin node (the tree root) and fan out toward
 their destinations.  Because the network is a directed tree with a
 degree-one root, the route from the origin to any node is unique, every
 route starts on the same outgoing edge, and splits only happen at interior
-nodes.  Networks are immutable after construction; every query here is a
-pure function, so instances can be shared freely across workers.
+nodes.  Networks are immutable after construction, so instances can be
+shared freely across workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -29,15 +28,6 @@ class InputError(ValueError):
         self.subject = subject
 
 
-@dataclass(frozen=True)
-class Route:
-    """The unique path from the network root to one destination node."""
-
-    destination: str
-    edges: tuple[tuple[str, str], ...]
-    length: float
-
-
 class RoadNetwork:
     """A directed tree of road segments rooted at the common origin.
 
@@ -45,7 +35,8 @@ class RoadNetwork:
     triples and are identified by their ``(tail, head)`` pair.  The root
     has no incoming edge and exactly one outgoing edge; every other node
     has exactly one incoming edge.  Construction validates all of this and
-    precomputes the route to every node.
+    precomputes the route to every node: ``routes[node]`` holds the
+    positions into ``edges`` of the route from the root, in travel order.
     """
 
     def __init__(
@@ -59,19 +50,10 @@ class RoadNetwork:
             (str(t), str(h), float(d)) for t, h, d in edges
         )
         self.root: str = str(root)
-        self._parent = self._validate()
-        self.edge_ids: dict[tuple[str, str], int] = {
-            (t, h): k for k, (t, h, _) in enumerate(self.edges)
-        }
         self.edge_lengths: tuple[float, ...] = tuple(d for _, _, d in self.edges)
-        self._routes: dict[str, Route] = {
-            node: self._trace(node) for node in self.nodes if node != self.root
-        }
-        self._route_ids: dict[str, tuple[int, ...]] = {
-            node: tuple(self.edge_ids[e] for e in r.edges) for node, r in self._routes.items()
-        }
+        self.routes: dict[str, tuple[int, ...]] = self._validate()
 
-    def _validate(self) -> dict[str, str]:
+    def _validate(self) -> dict[str, tuple[int, ...]]:
         if self.root not in self.nodes:
             raise InputError(None, f"root {self.root!r} is not among the nodes")
         # Duplicates go first: every later per-edge error then names an edge
@@ -81,9 +63,9 @@ class RoadNetwork:
             if (tail, head) in seen:
                 raise InputError((tail, head), f"duplicate edge {tail}->{head}")
             seen.add((tail, head))
-        parent: dict[str, str] = {}
+        in_edge: dict[str, int] = {}  # node -> position of its incoming edge
         root_out: tuple[str, str] | None = None
-        for tail, head, length in self.edges:
+        for k, (tail, head, length) in enumerate(self.edges):
             edge = (tail, head)
             if tail not in self.nodes or head not in self.nodes:
                 raise InputError(edge, f"edge {tail}->{head} references an unknown node")
@@ -96,13 +78,13 @@ class RoadNetwork:
                 raise InputError(
                     edge, f"root {self.root} must have no incoming edge, got {tail}->{head}"
                 )
-            if head in parent:
+            if head in in_edge:
                 raise InputError(
                     edge,
                     f"node {head} has more than one incoming edge: "
-                    f"{parent[head]}->{head} and {tail}->{head}",
+                    f"{self.edges[in_edge[head]][0]}->{head} and {tail}->{head}",
                 )
-            parent[head] = tail
+            in_edge[head] = k
             if tail == self.root:
                 if root_out is not None:
                     raise InputError(
@@ -116,38 +98,30 @@ class RoadNetwork:
                 None, f"root {self.root} must have exactly one outgoing edge, found none"
             )
         for node in self.nodes:
-            if node != self.root and node not in parent:
+            if node != self.root and node not in in_edge:
                 raise InputError(
                     None, f"node {node} is unreachable from the root (no incoming edge)"
                 )
         # Each non-root node has one parent, so any walk that fails to reach
-        # the root must loop.
+        # the root must loop.  The walk that rules this out also records the
+        # node's route.
+        routes: dict[str, tuple[int, ...]] = {}
         for node in self.nodes:
+            if node == self.root:
+                continue
             visited: set[str] = set()
+            chain: list[int] = []
             cur = node
             while cur != self.root:
                 if cur in visited:
                     raise InputError(None, f"edges form a cycle through node {cur}")
                 visited.add(cur)
-                cur = parent[cur]
-        return parent
-
-    def _trace(self, destination: str) -> Route:
-        chain: list[tuple[str, str]] = []
-        cur = destination
-        while cur != self.root:
-            p = self._parent[cur]
-            chain.append((p, cur))
-            cur = p
-        chain.reverse()
-        lengths = self.edge_lengths
-        return Route(
-            destination, tuple(chain), float(sum(lengths[self.edge_ids[e]] for e in chain))
-        )
-
-    def route_indices(self, destination: str) -> tuple[int, ...]:
-        """Edge positions (into ``self.edges``) along the route to a node."""
-        return self._route_ids[route_to(self, destination).destination]
+                k = in_edge[cur]
+                chain.append(k)
+                cur = self.edges[k][0]
+            chain.reverse()
+            routes[node] = tuple(chain)
+        return routes
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoadNetwork):
@@ -165,49 +139,6 @@ class RoadNetwork:
             f"RoadNetwork({len(self.nodes)} nodes, {len(self.edges)} edges, "
             f"root={self.root!r})"
         )
-
-
-def build_network(
-    nodes: Iterable[str],
-    edges: Iterable[tuple[str, str, float]],
-    root: str,
-) -> RoadNetwork:
-    """Validate and build a rooted directed-tree network."""
-    return RoadNetwork(nodes, edges, root)
-
-
-def route_to(network: RoadNetwork, destination: str) -> Route:
-    """The unique route from the root to ``destination``."""
-    destination = str(destination)
-    if destination == network.root:
-        raise ValueError(f"destination equals the root {network.root!r}; no route")
-    try:
-        return network._routes[destination]
-    except KeyError:
-        raise ValueError(f"unknown node {destination!r}") from None
-
-
-def edges_of(network: RoadNetwork, destinations: Iterable[str]) -> set[tuple[str, str]]:
-    """Edges traversed by at least one vehicle headed to the given destinations."""
-    out: set[tuple[str, str]] = set()
-    for d in destinations:
-        out.update(route_to(network, d).edges)
-    return out
-
-
-def count_on_edge(
-    network: RoadNetwork,
-    edge: tuple[str, str],
-    destinations: Iterable[str],
-) -> int:
-    """How many of the given vehicles (one per destination entry) traverse ``edge``.
-
-    ``destinations`` is a multiset: repeat a node once per vehicle headed there.
-    """
-    e = (str(edge[0]), str(edge[1]))
-    if e not in network.edge_ids:
-        raise ValueError(f"unknown edge {e[0]}->{e[1]}")
-    return sum(1 for d in destinations if e in route_to(network, d).edges)
 
 
 #: 13-node / 12-edge benchmark tree used by the bundled scenarios and demos.
@@ -230,7 +161,7 @@ PAPER_FIG3_EDGES: tuple[tuple[str, str, float], ...] = (
 def paper_fig3() -> RoadNetwork:
     """Build the benchmark network shipped under the preset name ``paper-fig3``."""
     nodes = {t for t, _, _ in PAPER_FIG3_EDGES} | {h for _, h, _ in PAPER_FIG3_EDGES}
-    return build_network(nodes, PAPER_FIG3_EDGES, "v1")
+    return RoadNetwork(nodes, PAPER_FIG3_EDGES, "v1")
 
 
 PRESETS = {"paper-fig3": paper_fig3}

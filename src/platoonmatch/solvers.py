@@ -189,7 +189,9 @@ def _is_nash_state(instance: Instance, state: game._PlatoonState, profile, tol: 
 
 
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
-    """True iff no vehicle can gain more than ``tol`` by deviating alone."""
+    """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     game._check_profile(instance, profile)
     return _is_nash_state(instance, game._PlatoonState(instance, profile), profile, tol)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from platoonmatch import Instance, ModelParams, Vehicle, build_network
+from platoonmatch import Instance, ModelParams, RoadNetwork, Vehicle
 
 
 def ref_path(edges, root, dest):
@@ -83,7 +83,7 @@ def random_instance(rng, max_nodes=10, max_vehicles=8, alpha_hi=2000.0, params=N
     """Random tree, destinations, preferred times, and windows."""
     edges = random_tree_edges(rng, max_nodes)
     nodes = {t for t, _, _ in edges} | {h for _, h, _ in edges}
-    net = build_network(nodes, edges, "v1")
+    net = RoadNetwork(nodes, edges, "v1")
     pool = sorted(nodes - {"v1"})
     n = int(rng.integers(1, max_vehicles + 1))
     alpha = float(rng.uniform(0.0, alpha_hi))

@@ -12,7 +12,6 @@ from platoonmatch import (
     feasible_actions,
     nonplatooning_fraction,
     paper_fig3,
-    platoon_partition,
     potential,
     total_fuel_saving,
     vehicle_utility,
@@ -139,12 +138,12 @@ def test_partition_groups_by_value(fig3):
         Vehicle(3, "v7", 7.0, (0.0, 10.0)),
     ]
     inst = Instance(fig3, vehicles)
-    assert platoon_partition(inst, (7.0, 7.0, 7.0)) == ((7.0, (1, 2, 3)),)
+    assert evaluate(inst, (7.0, 7.0, 7.0)).partition == ((7.0, (1, 2, 3)),)
 
 
 def test_partition_mixed(pair):
-    assert platoon_partition(pair, (0.0, 100.0)) == ((0.0, (1,)), (100.0, (2,)))
-    assert platoon_partition(pair, (0.0, 0.0)) == ((0.0, (1, 2)),)
+    assert evaluate(pair, (0.0, 100.0)).partition == ((0.0, (1,)), (100.0, (2,)))
+    assert evaluate(pair, (0.0, 0.0)).partition == ((0.0, (1, 2)),)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,6 @@ def test_all_singletons_zero_potential(fig3):
 def test_evaluate_matches_pieces(pair):
     for s in [(0.0, 0.0), (0.0, 100.0), (100.0, 100.0)]:
         out = evaluate(pair, s)
-        assert out.partition == platoon_partition(pair, s)
         assert out.utilities == pytest.approx(
             tuple(vehicle_utility(pair, s, i) for i in (1, 2))
         )

@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from platoonmatch import (
-    build_network,
-    count_on_edge,
-    edges_of,
-    paper_fig3,
-    route_to,
-)
+from platoonmatch import PAPER_FIG3_EDGES, RoadNetwork, paper_fig3
 from _reference import ref_path, random_tree_edges
 
 import numpy as np
@@ -25,13 +19,13 @@ def test_fig3_preset_shape(fig3):
 
 
 def test_single_edge_network_is_valid():
-    net = build_network({"v1", "v2"}, [("v1", "v2", 100.0)], "v1")
-    assert route_to(net, "v2").length == 100.0
+    net = RoadNetwork({"v1", "v2"}, [("v1", "v2", 100.0)], "v1")
+    assert net.routes == {"v2": (0,)}
 
 
 def test_root_out_degree_two_rejected():
     with pytest.raises(ValueError, match="exactly one outgoing edge"):
-        build_network(
+        RoadNetwork(
             {"v1", "v2", "v3"},
             [("v1", "v2", 10.0), ("v1", "v3", 10.0)],
             "v1",
@@ -40,7 +34,7 @@ def test_root_out_degree_two_rejected():
 
 def test_root_incoming_edge_rejected():
     with pytest.raises(ValueError, match="no incoming edge"):
-        build_network(
+        RoadNetwork(
             {"v1", "v2", "v3"},
             [("v1", "v2", 10.0), ("v2", "v3", 10.0), ("v3", "v1", 10.0)],
             "v1",
@@ -49,7 +43,7 @@ def test_root_incoming_edge_rejected():
 
 def test_multiple_parents_rejected():
     with pytest.raises(ValueError, match="more than one incoming edge"):
-        build_network(
+        RoadNetwork(
             {"v1", "v2", "v3", "v4"},
             [("v1", "v2", 10.0), ("v2", "v3", 10.0), ("v2", "v4", 10.0), ("v3", "v4", 10.0)],
             "v1",
@@ -58,7 +52,7 @@ def test_multiple_parents_rejected():
 
 def test_cycle_rejected():
     with pytest.raises(ValueError, match="cycle"):
-        build_network(
+        RoadNetwork(
             {"v1", "v2", "v3", "v4", "v5"},
             [
                 ("v1", "v2", 10.0),
@@ -73,121 +67,73 @@ def test_cycle_rejected():
 @pytest.mark.parametrize("length", [0.0, -5.0, float("inf"), float("nan")])
 def test_bad_length_rejected(length):
     with pytest.raises(ValueError, match="positive finite length"):
-        build_network({"v1", "v2"}, [("v1", "v2", length)], "v1")
+        RoadNetwork({"v1", "v2"}, [("v1", "v2", length)], "v1")
 
 
 def test_unknown_endpoint_rejected():
     with pytest.raises(ValueError, match="unknown node"):
-        build_network({"v1", "v2"}, [("v1", "v9", 10.0)], "v1")
+        RoadNetwork({"v1", "v2"}, [("v1", "v9", 10.0)], "v1")
 
 
 def test_isolated_node_rejected():
     with pytest.raises(ValueError, match="unreachable"):
-        build_network({"v1", "v2", "v3"}, [("v1", "v2", 10.0)], "v1")
+        RoadNetwork({"v1", "v2", "v3"}, [("v1", "v2", 10.0)], "v1")
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(ValueError, match="duplicate edge"):
-        build_network({"v1", "v2"}, [("v1", "v2", 10.0), ("v1", "v2", 20.0)], "v1")
+        RoadNetwork({"v1", "v2"}, [("v1", "v2", 10.0), ("v1", "v2", 20.0)], "v1")
 
 
-def test_route_to_v5(fig3):
-    r = route_to(fig3, "v5")
-    assert r.edges == (("v1", "v2"), ("v2", "v3"), ("v3", "v5"))
-    assert r.length == 320000.0
+def route_pairs(net, node):
+    return [net.edges[k][:2] for k in net.routes[node]]
 
 
-def test_route_to_v2_one_hop(fig3):
-    r = route_to(fig3, "v2")
-    assert r.edges == (("v1", "v2"),)
-    assert r.length == 80000.0
+def route_length(net, node):
+    return sum(net.edge_lengths[k] for k in net.routes[node])
 
 
-def test_route_to_v13(fig3):
-    r = route_to(fig3, "v13")
-    assert r.edges == (
+def test_route_v5(fig3):
+    assert route_pairs(fig3, "v5") == [("v1", "v2"), ("v2", "v3"), ("v3", "v5")]
+    assert route_pairs(fig3, "v5") == ref_path(PAPER_FIG3_EDGES, "v1", "v5")
+    assert route_length(fig3, "v5") == 320000.0
+
+
+def test_route_v2_one_hop(fig3):
+    assert route_pairs(fig3, "v2") == [("v1", "v2")]
+    assert route_pairs(fig3, "v2") == ref_path(PAPER_FIG3_EDGES, "v1", "v2")
+    assert route_length(fig3, "v2") == 80000.0
+
+
+def test_route_v13(fig3):
+    assert route_pairs(fig3, "v13") == [
         ("v1", "v2"),
         ("v2", "v6"),
         ("v6", "v8"),
         ("v8", "v10"),
         ("v10", "v13"),
-    )
-    assert r.length == 284000.0
-    # cross-check against the independent parent-walk oracle
-    from platoonmatch import PAPER_FIG3_EDGES
-
-    oracle = ref_path(PAPER_FIG3_EDGES, "v1", "v13")
-    assert list(r.edges) == oracle
-    lengths = {(t, h): d for t, h, d in PAPER_FIG3_EDGES}
-    assert r.length == sum(lengths[e] for e in oracle)
-
-
-def test_route_to_root_rejected(fig3):
-    with pytest.raises(ValueError, match="root"):
-        route_to(fig3, "v1")
-
-
-def test_route_to_unknown_rejected(fig3):
-    with pytest.raises(ValueError, match="unknown node"):
-        route_to(fig3, "v99")
-
-
-def test_edges_of_examples(fig3):
-    assert edges_of(fig3, []) == set()
-    assert edges_of(fig3, ["v2"]) == {("v1", "v2")}
-    assert edges_of(fig3, ["v4", "v5"]) == {
-        ("v1", "v2"),
-        ("v2", "v3"),
-        ("v3", "v4"),
-        ("v3", "v5"),
-    }
-
-
-def test_count_on_edge_examples(fig3):
-    # every route starts on the root's single outgoing edge
-    assert count_on_edge(fig3, ("v1", "v2"), ["v4", "v5", "v13"]) == 3
-    assert count_on_edge(fig3, ("v3", "v4"), ["v4", "v5"]) == 1
-    assert count_on_edge(fig3, ("v10", "v12"), []) == 0
-    # duplicate destinations count once per vehicle
-    assert count_on_edge(fig3, ("v3", "v4"), ["v4", "v4", "v5"]) == 2
-
-
-def test_count_on_unknown_edge_rejected(fig3):
-    with pytest.raises(ValueError, match="unknown edge"):
-        count_on_edge(fig3, ("v2", "v9"), ["v4"])
+    ]
+    assert route_pairs(fig3, "v13") == ref_path(PAPER_FIG3_EDGES, "v1", "v13")
+    assert route_length(fig3, "v13") == 284000.0
 
 
 def test_route_is_connected_and_acyclic(fig3):
-    for node in sorted(fig3.nodes - {"v1"}):
-        r = route_to(fig3, node)
-        assert r.edges[0][0] == "v1"
-        for k in range(len(r.edges) - 1):
-            assert r.edges[k][1] == r.edges[k + 1][0]
-        visited = [e[0] for e in r.edges] + [r.edges[-1][1]]
+    assert set(fig3.routes) == fig3.nodes - {"v1"}
+    for node in sorted(fig3.routes):
+        pairs = route_pairs(fig3, node)
+        assert pairs[0][0] == "v1"
+        assert pairs[-1][1] == node
+        for k in range(len(pairs) - 1):
+            assert pairs[k][1] == pairs[k + 1][0]
+        visited = [e[0] for e in pairs] + [pairs[-1][1]]
         assert len(visited) == len(set(visited))
 
 
-@st.composite
-def tree_and_vehicle_sets(draw):
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    edges = random_tree_edges(rng, max_nodes=8)
-    nodes = sorted({t for t, _, _ in edges} | {h for _, h, _ in edges})
-    net = build_network(nodes, edges, "v1")
-    pool = [n for n in nodes if n != "v1"]
-    m1 = draw(st.lists(st.sampled_from(pool), max_size=5))
-    m2 = draw(st.lists(st.sampled_from(pool), max_size=5))
-    return net, m1, m2
-
-
-@given(tree_and_vehicle_sets())
-def test_count_properties(data):
-    net, m1, m2 = data
-    for t, h, _ in net.edges:
-        c1 = count_on_edge(net, (t, h), m1)
-        c2 = count_on_edge(net, (t, h), m2)
-        both = count_on_edge(net, (t, h), m1 + m2)
-        assert c1 <= len(m1)
-        assert both == c1 + c2  # multisets are disjoint vehicles by construction
-        assert ((t, h) in edges_of(net, m1)) == (c1 >= 1)
-    assert count_on_edge(net, ("v1", "v2"), m1) == len(m1)
+@given(st.integers(0, 2**32 - 1))
+def test_routes_match_parent_walk_on_random_trees(seed):
+    edges = random_tree_edges(np.random.default_rng(seed), max_nodes=12)
+    nodes = {t for t, _, _ in edges} | {h for _, h, _ in edges}
+    net = RoadNetwork(nodes, edges, "v1")
+    assert set(net.routes) == nodes - {"v1"}
+    for node in nodes - {"v1"}:
+        assert route_pairs(net, node) == ref_path(edges, "v1", node)

@@ -237,6 +237,22 @@ def test_is_nash_detects_profitable_deviation(fig3):
     assert is_nash(inst, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_is_nash_rejects_nonfinite_tol(fig3, tol):
+    # The README's two-truck instance; (0.0, 100.0) is not an equilibrium.
+    inst = Instance(
+        fig3,
+        [
+            Vehicle(1, "v4", 0.0, (-500.0, 500.0)),
+            Vehicle(2, "v5", 100.0, (-400.0, 600.0)),
+        ],
+    )
+    assert not is_nash(inst, (0.0, 100.0))
+    assert not is_nash(inst, (0.0, 100.0), tol=-1.0)
+    with pytest.raises(ValueError, match="tol"):
+        is_nash(inst, (0.0, 100.0), tol=tol)
+
+
 def test_brd_output_is_nash_on_random_instances():
     rng = np.random.default_rng(23)
     for _ in range(200):
