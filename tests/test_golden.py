@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from platoonmatch import ScenarioConfig, paper_fig3, sweep_alpha, trend_summary
 from platoonmatch.cli import main
+from platoonmatch.experiments import default_alpha_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -27,6 +29,20 @@ def test_sweep_matches_golden(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--n", "10", "--reps", "20", "--seed", "42", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "sweep_n10_r20_seed42.csv").read_bytes()
+
+
+def test_sweep_trends_match_pins():
+    # The sweep's printed Spearman lines come from these values; the CSV
+    # golden file does not cover them.
+    config = ScenarioConfig(network=paper_fig3(), n_vehicles=10, alpha=0.0, seed=42)
+    result = sweep_alpha(config, default_alpha_grid(), 20)
+    assert result.to_csv().encode() == (GOLDEN / "sweep_n10_r20_seed42.csv").read_bytes()
+    assert trend_summary(result) == {
+        "ne_saving": -0.9636363636363637,
+        "ne_fraction": 0.9425910042369909,
+        "coop_saving": -0.9476106589626668,
+        "coop_fraction": 0.8001520746183626,
+    }
 
 
 @pytest.mark.parametrize("mode", ["ne", "coop"])
