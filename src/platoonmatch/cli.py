@@ -31,6 +31,7 @@ from pathlib import Path
 
 from .experiments import (
     ScenarioConfig,
+    _fmt,
     default_alpha_grid,
     generate_scenario,
     sweep_alpha,
@@ -43,10 +44,6 @@ from .solvers import ConvergenceError, brd_solve, brute_force_nash, coop_solve, 
 
 class ScenarioError(ValueError):
     """Scenario file rejected; the message is anchored to the offending line."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +450,7 @@ def main(argv=None) -> int:
     except (ValueError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

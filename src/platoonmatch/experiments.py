@@ -18,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import struct
-import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import isfinite
 
 import numpy as np
-from scipy import stats
 
 from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
@@ -100,17 +99,10 @@ def generate_scenario(config: ScenarioConfig) -> Instance:
     picks = rng.integers(0, len(pool), size=config.n_vehicles)
     times = rng.uniform(0.0, config.alpha, size=config.n_vehicles)
     h = float(config.window_halfwidth)
-    vehicles = []
-    for i in range(config.n_vehicles):
-        t = float(times[i])
-        vehicles.append(
-            Vehicle(
-                id=i + 1,
-                destination=pool[int(picks[i])],
-                preferred_time=t,
-                window=(t - h, t + h),
-            )
-        )
+    vehicles = [
+        Vehicle(id=i, destination=pool[k], preferred_time=t, window=(t - h, t + h))
+        for i, (k, t) in enumerate(zip(picks.tolist(), times.tolist()), start=1)
+    ]
     return Instance(config.network, vehicles, config.params)
 
 
@@ -132,9 +124,11 @@ def run_replication(instance: Instance) -> tuple[ReplicationMetrics, Replication
 
 
 def _metrics(instance: Instance, report: solvers.SolveReport) -> ReplicationMetrics:
+    # nonplatooning_fraction would check and group the profile a second time
+    lone = sum(1 for n in Counter(report.final).values() if n == 1)
     return ReplicationMetrics(
         fuel_saving=game.total_fuel_saving(instance, report.final),
-        nonplatooning_fraction=game.nonplatooning_fraction(instance, report.final),
+        nonplatooning_fraction=lone / instance.n_vehicles,
         rounds=report.rounds,
     )
 
@@ -205,36 +199,41 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
         raise ValueError("alphas must hold at least one value")
     rows = []
     for alpha in alphas:
-        ne_sav, ne_frac, ne_rounds = [], [], []
-        co_sav, co_frac, co_rounds = [], [], []
+        samples = []
         for rep in range(replications):
             seed = replication_seed(config.seed, alpha, rep)
             instance = generate_scenario(replace(config, alpha=alpha, seed=seed))
             ne, coop = run_replication(instance)
-            ne_sav.append(ne.fuel_saving)
-            ne_frac.append(ne.nonplatooning_fraction)
-            ne_rounds.append(float(ne.rounds))
-            co_sav.append(coop.fuel_saving)
-            co_frac.append(coop.nonplatooning_fraction)
-            co_rounds.append(float(coop.rounds))
-        stats_flat = []
-        for xs in (ne_sav, ne_frac, co_sav, co_frac, ne_rounds, co_rounds):
-            stats_flat.extend(_mean_std(xs))
+            samples.append((ne.fuel_saving, ne.nonplatooning_fraction, coop.fuel_saving,
+                            coop.nonplatooning_fraction, ne.rounds, coop.rounds))
+        # one column per metric, in SweepRow's field order
+        stats_flat = [x for column in zip(*samples) for x in _mean_std(column)]
         rows.append(SweepRow(alpha, *stats_flat))
     return SweepResult(tuple(rows), replications)
+
+
+def _spearman(a, b) -> float:
+    """``scipy.stats.spearmanr(a, b).statistic`` bit for bit: average 1-based ranks,
+    then the stacked-column ``np.corrcoef`` that spearmanr calls.  NaN with fewer
+    than two observations, a constant input or any NaN value."""
+    x = np.column_stack((a, b))
+    if len(x) <= 1 or np.isnan(x).any() or (x == x[0]).all(axis=0).any():
+        return float("nan")
+    ranks = np.empty(x.shape)
+    for k, col in enumerate(x.T):
+        ordered = np.sort(col)
+        lo, hi = (np.searchsorted(ordered, col, side) for side in ("left", "right"))
+        ranks[:, k] = (lo + hi + 1) / 2  # ties share the mean of their positions
+    return float(np.corrcoef(ranks, rowvar=0)[1, 0])
 
 
 def trend_summary(result: SweepResult) -> dict[str, float]:
     """Spearman rank correlation of each mean curve against alpha."""
     alphas = [row.alpha for row in result.rows]
-    out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # constant inputs yield nan, which is fine
-        for key in ("ne_saving", "ne_fraction", "coop_saving", "coop_fraction"):
-            values = [getattr(row, key + "_mean") for row in result.rows]
-            rho = stats.spearmanr(alphas, values).statistic
-            out[key] = float(rho)
-    return out
+    return {
+        key: _spearman(alphas, [getattr(row, key + "_mean") for row in result.rows])
+        for key in ("ne_saving", "ne_fraction", "coop_saving", "coop_fraction")
+    }
 
 
 def default_alpha_grid() -> tuple[float, ...]:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from platoonmatch import paper_fig3
 from platoonmatch.cli import dump_scenario, load_scenario, main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def run_cli(capsys, *argv):
@@ -378,3 +382,36 @@ def test_demo_fig4_seed_flag(capsys):
     code, out, _ = run_cli(capsys, "demo-fig4", "--seed", "3")
     assert code == 0
     assert "is_nash: True" in out
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_module_entry_points_agree():
+    outputs = []
+    for module in ("platoonmatch.cli", "platoonmatch"):
+        proc = run_python("-m", module, "solve", "scenarios/two-vehicles.scn")
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_startup_does_not_import_scipy():
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from platoonmatch.cli import PRESETS\n"
+        "PRESETS['paper-fig3']()\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
