@@ -30,7 +30,7 @@ def columns(draw):
     return draw(column), draw(column)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(columns())
 @example(([], []))
 @example(([1.0], [2.0]))
