@@ -10,9 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from platoonmatch import ScenarioConfig, paper_fig3, sweep_alpha, trend_summary
+from platoonmatch import (
+    ScenarioConfig,
+    default_alpha_grid,
+    paper_fig3,
+    sweep_alpha,
+    trend_summary,
+)
 from platoonmatch.cli import main
-from platoonmatch.experiments import default_alpha_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
