@@ -18,6 +18,7 @@ from platoonmatch import (
     sweep_alpha,
     trend_summary,
 )
+from platoonmatch.network import InputError
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,13 @@ def test_config_validation(fig3):
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=("v1",))
     with pytest.raises(ValueError, match="unknown node"):
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=("zz",))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+def test_sweep_rejects_bad_alpha(base_config, alpha):
+    with pytest.raises(InputError, match="alpha must be finite and >= 0") as exc:
+        sweep_alpha(base_config, [alpha], 1)
+    assert exc.value.subject == "alpha"
 
 
 def test_generate_is_deterministic(base_config):

@@ -68,16 +68,44 @@ def test_instance_rejects_unknown_destination(fig3):
 
 
 def test_profile_validation(pair):
-    with pytest.raises(ValueError, match="not a feasible action"):
-        vehicle_utility(pair, (0.0, 50.0), 1)
+    # both vehicles' actions are (0.0, 100.0): 50.0 lies between two of them
+    for bad in (50.0, -1.0, 700.0, float("nan"), None, "x"):
+        with pytest.raises(ValueError, match="vehicle 1: departure time .* not a feasible action"):
+            vehicle_utility(pair, (bad, 100.0), 1)
+        with pytest.raises(ValueError, match="vehicle 2: departure time .* not a feasible action"):
+            potential(pair, (0.0, bad))
     with pytest.raises(ValueError, match="entries"):
         vehicle_utility(pair, (0.0,), 1)
 
 
 def test_saving_rate_bound_enforced(fig3):
     params = ModelParams(saving=lambda n: 0.5 * n, f_max=0.4)
-    with pytest.raises(ValueError, match="outside"):
-        Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))] , params)
+    for _ in range(2):  # every instance built with the model raises, not only the first
+        with pytest.raises(ValueError, match="outside"):
+            Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))] , params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0] + [10.0**e for e in range(-3, 10)]))
+def test_default_penalty_rows_match_model(seed, k_t):
+    inst = random_instance(np.random.default_rng(seed), params=ModelParams(k_t=k_t))
+    for idx, (acts, row) in enumerate(zip(inst._actions, inst._pen)):
+        pref = inst._pref[idx]
+        assert [p.hex() for p in row] == [
+            inst.params.deviation_penalty(a, pref).hex() for a in acts
+        ]
+
+
+def test_default_penalty_overflow_rejected(fig3):
+    # each window reaches the other's preferred time, 2e300 away: k_t * 2e300 is inf
+    vehicles = [
+        Vehicle(1, "v4", -1e300, (-1e300, 1e300)),
+        Vehicle(2, "v5", 1e300, (-1e300, 1e300)),
+    ]
+    with pytest.raises(
+        ValueError, match=r"vehicle 1: deviation penalty inf .* must be finite and >= 0"
+    ):
+        Instance(fig3, vehicles, ModelParams(k_t=1e10))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
