@@ -19,7 +19,7 @@ import csv
 import io
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import isfinite
 
 import numpy as np
@@ -29,24 +29,6 @@ from .game import Instance, ModelParams, Vehicle
 from .network import InputError, RoadNetwork
 
 _SEED_MASK = (1 << 64) - 1
-
-#: Frozen column order of the sweep CSV.
-SWEEP_CSV_COLUMNS = (
-    "alpha",
-    "replications",
-    "ne_saving_mean",
-    "ne_saving_std",
-    "ne_fraction_mean",
-    "ne_fraction_std",
-    "coop_saving_mean",
-    "coop_saving_std",
-    "coop_fraction_mean",
-    "coop_fraction_std",
-    "ne_rounds_mean",
-    "ne_rounds_std",
-    "coop_rounds_mean",
-    "coop_rounds_std",
-)
 
 
 @dataclass(frozen=True)
@@ -120,7 +102,10 @@ def run_replication(instance: Instance) -> tuple[ReplicationMetrics, Replication
     ne = solvers.brd_solve(instance)
     # identical to coop_solve(instance), just reusing the equilibrium we have
     coop = solvers.coop_solve(instance, start=ne.final)
-    return _metrics(instance, ne), _metrics(instance, coop)
+    ne_metrics = _metrics(instance, ne)
+    if coop.final == ne.final:  # the ascent found no move: same profile, same numbers
+        return ne_metrics, replace(ne_metrics, rounds=coop.rounds)
+    return ne_metrics, _metrics(instance, coop)
 
 
 def _metrics(instance: Instance, report: solvers.SolveReport) -> ReplicationMetrics:
@@ -158,6 +143,11 @@ class SweepRow:
     ne_rounds_std: float
     coop_rounds_mean: float
     coop_rounds_std: float
+
+
+#: Frozen column order of the sweep CSV: alpha, the replication count, then
+#: the metrics in SweepRow's field order.
+SWEEP_CSV_COLUMNS = ("alpha", "replications") + tuple(f.name for f in fields(SweepRow)[1:])
 
 
 @dataclass(frozen=True)

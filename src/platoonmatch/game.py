@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
@@ -98,6 +99,28 @@ class ModelParams:
         return self.k_p if self.f_max is None else self.f_max
 
 
+@lru_cache(maxsize=64)
+def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]:
+    """``(f, r, g, dg)`` up to ``n`` members, shared by all instances of one model
+    and size; an error is not cached, so each such instance raises it again.
+    ``f`` is the saving rate and ``r`` its running sum; ``g[m] = m f(m)`` is the
+    total rate of an edge carrying m platoon members and ``dg[m] = g(m) - g(m-1)``
+    the common-utility rate that an edge gains with its m-th member.
+    """
+    bound = params.saving_bound()
+    f = [0.0] * (n + 1)
+    r = [0.0] * (n + 1)
+    for m in range(1, n + 1):
+        val = params.saving_rate(m)
+        if not (isfinite(val) and -1e-12 <= val <= bound + 1e-12):
+            raise ValueError(f"saving rate f({m})={val!r} outside [0, f_max={bound}]")
+        f[m] = val
+        r[m] = r[m - 1] + val
+    g = tuple(m * val for m, val in enumerate(f))
+    dg = (0.0,) + tuple(b - a for a, b in zip(g, g[1:]))
+    return tuple(f), tuple(r), g, dg
+
+
 class Instance:
     """An immutable problem instance: network, vehicles, model parameters.
 
@@ -137,59 +160,43 @@ class Instance:
         self._pref: tuple[float, ...] = tuple(float(v.preferred_time) for v in self.vehicles)
         self._all_times: tuple[float, ...] = tuple(sorted(set(self._pref)))
         times = self._all_times
-        pen = self.params.deviation_penalty
+        pen = self.params.penalty
+        k_t = self.params.k_t
         actions = []
         pens = []
         for v, pref in zip(self.vehicles, self._pref):
             lo, hi = v.window
             acts = times[bisect_left(times, lo):bisect_right(times, hi)]
-            row = tuple([pen(a, pref) for a in acts])
-            if not all(0.0 <= p < inf for p in row):
-                a, p = next((a, p) for a, p in zip(acts, row) if not 0.0 <= p < inf)
-                raise ValueError(
-                    f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
-                    "must be finite and >= 0"
-                )
+            # the default penalty's own expression, so the same bits
+            row = tuple([k_t * abs(a - pref) for a in acts] if pen is None else
+                        [float(pen(a, pref)) for a in acts])
+            for a, p in zip(acts, row):
+                if not 0.0 <= p < inf:
+                    raise ValueError(
+                        f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
+                        "must be finite and >= 0"
+                    )
             actions.append(acts)
             pens.append(row)
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
-        self._action_sets = tuple(frozenset(a) for a in actions)
         #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
-
-        n = len(self.vehicles)
-        bound = self.params.saving_bound()
-        f_tab = [0.0] * (n + 1)
-        for m in range(1, n + 1):
-            val = self.params.saving_rate(m)
-            if not (isfinite(val) and -1e-12 <= val <= bound + 1e-12):
-                raise ValueError(
-                    f"saving rate f({m})={val!r} outside [0, f_max={bound}]"
-                )
-            f_tab[m] = val
-        r_tab = [0.0] * (n + 1)
-        for m in range(1, n + 1):
-            r_tab[m] = r_tab[m - 1] + f_tab[m]
-        self._f: tuple[float, ...] = tuple(f_tab)
-        self._r: tuple[float, ...] = tuple(r_tab)
-        #: ``_g[m] = m f(m)`` is the total saving rate of an edge carrying m
-        #: platoon members.
-        self._g: tuple[float, ...] = tuple(m * f for m, f in enumerate(f_tab))
-        #: ``_dg[m] = g(m) - g(m-1)``: ``_dg[m] * d(e)`` is the common-utility
-        #: change when edge ``e`` gains its m-th member.
-        self._dg: tuple[float, ...] = (0.0,) + tuple(
-            b - a for a, b in zip(self._g, self._g[1:])
-        )
+        try:
+            tables = _saving_tables(self.params, len(self.vehicles))
+        except TypeError:  # a custom callable that cannot be hashed: build them uncached
+            tables = _saving_tables.__wrapped__(self.params, len(self.vehicles))
+        self._f, self._r, self._g, self._dg = tables
         #: ``_alone[idx] = sum f(1) d(e)`` over vehicle ``idx``'s route in route
         #: order: the saving term of every departure time nobody occupies and,
         #: as ``dg(1) = f(1)`` holds bit for bit, the common-utility gain of
         #: joining one.
+        f1 = self._f[1]
         lengths = self._lengths
         alone = []
         for route in self._routes:
             total = 0.0
             for e in route:
-                total += f_tab[1] * lengths[e]
+                total += f1 * lengths[e]
             alone.append(total)
         self._alone: tuple[float, ...] = tuple(alone)
 
@@ -239,8 +246,12 @@ def _check_profile(instance: Instance, profile: Profile) -> None:
         raise ValueError(
             f"profile has {len(profile)} entries for {instance.n_vehicles} vehicles"
         )
-    for idx, (t, allowed) in enumerate(zip(profile, instance._action_sets)):
-        if t not in allowed:
+    for idx, (t, acts) in enumerate(zip(profile, instance._actions)):
+        try:
+            k = bisect_left(acts, t)
+        except TypeError:  # not orderable against a float, so not an action
+            k = len(acts)
+        if k == len(acts) or acts[k] != t:
             raise ValueError(
                 f"vehicle {idx + 1}: departure time {t!r} is not a feasible action"
             )
@@ -251,14 +262,6 @@ def _groups(profile: Profile) -> dict[float, list[int]]:
     for idx, t in enumerate(profile):
         out.setdefault(t, []).append(idx)
     return out
-
-
-def _platoon_edge_counts(instance: Instance, members: Iterable[int]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for j in members:
-        for e in instance._routes[j]:
-            counts[e] = counts.get(e, 0) + 1
-    return counts
 
 
 class _PlatoonState:
@@ -297,18 +300,15 @@ class _PlatoonState:
             del self.counts[old]
         self._join(idx, new)
 
-    def route_sum(self, idx: int, t: float, table: Sequence[float], joining: bool) -> float:
-        """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order.
-
-        ``n(e)`` is the head count of time ``t`` on edge ``e``, plus one when
-        the vehicle is ``joining`` that time rather than already in it.
-        """
+    def route_sum(self, idx: int, t: float, table: Sequence[float]) -> float:
+        """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order,
+        where ``n(e)`` is the head count of time ``t`` on edge ``e``."""
         inst = self._instance
         lengths = inst._lengths
         c = self.counts.get(t, self._empty)
         total = 0.0
         for e in inst._routes[idx]:
-            total += table[c[e] + joining] * lengths[e]
+            total += table[c[e]] * lengths[e]
         return total
 
     def selfish_values(self, idx: int, cur: float) -> list[float]:
@@ -346,7 +346,7 @@ class _PlatoonState:
         route = inst._routes[idx]
         actions = inst._actions[idx]
         pens = inst._pen[idx]
-        leave = self.route_sum(idx, cur, dg, False)
+        leave = self.route_sum(idx, cur, dg)
         pen_cur = pens[actions.index(cur)]
         join_empty = inst._alone[idx] - leave
         counts = self.counts
@@ -393,7 +393,11 @@ def _edge_sum(instance: Instance, groups: dict[float, list[int]], table: Sequenc
     lengths = instance._lengths
     total = 0.0
     for members in groups.values():
-        for e, n in _platoon_edge_counts(instance, members).items():
+        counts: dict[int, int] = {}
+        for j in members:
+            for e in instance._routes[j]:
+                counts[e] = counts.get(e, 0) + 1
+        for e, n in counts.items():
             total += table[n] * lengths[e]
     return total
 
@@ -452,7 +456,7 @@ def evaluate(instance: Instance, profile: Profile) -> Outcome:
     pen = instance.params.deviation_penalty
     pref = instance._pref
     utilities = tuple(
-        state.route_sum(idx, t, f, False) - pen(t, pref[idx]) for idx, t in enumerate(profile)
+        state.route_sum(idx, t, f) - pen(t, pref[idx]) for idx, t in enumerate(profile)
     )
     partition = tuple(
         (t, tuple(j + 1 for j in members)) for t, members in sorted(groups.items())

@@ -105,19 +105,25 @@ def _sweep_solve(
     values = _values(state, objective)
     history = [tuple(s)]
     rounds = 0
+    last = n - 1  # the last vehicle that moved in the previous sweep
     while True:
-        changed = False
+        mover = -1
         for idx in range(n):
             cur = s[idx]
             a = _pick(instance._actions[idx], values(idx, cur), cur)
             if a != cur:
                 state.move(idx, cur, a)
                 s[idx] = a
-                changed = True
+                mover = idx
+            elif idx == last and mover < 0:
+                # Nothing has moved since it did, so every later vehicle faces
+                # the state it stayed in last sweep: this sweep is the fixed point.
+                break
         rounds += 1
         history.append(tuple(s))
-        if not changed:
+        if mover < 0:
             break
+        last = mover
         if rounds >= max_sweeps:
             raise ConvergenceError(
                 f"no fixed point after {rounds} sweeps (cap {max_sweeps}); "
@@ -171,7 +177,7 @@ def _is_nash_state(instance: Instance, state: game._PlatoonState, profile, tol: 
         pens = instance._pen[idx]
         route = instance._routes[idx]
         alone = instance._alone[idx]
-        bar = state.route_sum(idx, cur, f, False) - pens[actions.index(cur)] + tol
+        bar = state.route_sum(idx, cur, f) - pens[actions.index(cur)] + tol
         for a, p in zip(actions, pens):
             if a == cur:
                 continue

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,18 @@ def test_saving_rate_bound_enforced(fig3):
     for _ in range(2):  # every instance built with the model raises, not only the first
         with pytest.raises(ValueError, match="outside"):
             Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))] , params)
+
+
+def test_unhashable_custom_saving_accepted(pair):
+    @dataclasses.dataclass
+    class Rate:  # compares by value, so it cannot be hashed
+        k_p: float
+
+        def __call__(self, n):
+            return self.k_p * (n - 1) / n
+
+    inst = Instance(pair.network, pair.vehicles, ModelParams(saving=Rate(5e-5), f_max=5e-5))
+    assert (inst._f, inst._r, inst._g, inst._dg) == (pair._f, pair._r, pair._g, pair._dg)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import platoonmatch as pm
+from platoonmatch import game
 from platoonmatch import (
     ConvergenceError,
     Instance,
@@ -22,6 +23,7 @@ from _reference import (
     random_instance,
     ref_action_sets,
     ref_coop_argmax,
+    ref_sweep_solve,
     ref_utility,
 )
 
@@ -152,6 +154,40 @@ def test_objective_trace_is_the_metric_of_each_history_entry():
         inst = random_instance(rng, max_nodes=8, max_vehicles=6)
         for report, metric in ((brd_solve(inst), potential), (coop_solve(inst), cooperative_utility)):
             assert report.objective_trace == [metric(inst, p) for p in report.history]
+
+
+def test_confirming_sweep_stops_after_last_mover(fig3, monkeypatch):
+    # Vehicle 2 joins vehicle 3 at 130 in the first sweep under either
+    # objective and is its last mover.  Nothing moves before it in the second
+    # sweep, so vehicles 3 and 4 would face the state they stayed in: the
+    # sweep ends after vehicle 2.
+    inst = Instance(
+        fig3,
+        [
+            Vehicle(1, "v4", 0.0, (-50.0, 50.0)),
+            Vehicle(2, "v5", 100.0, (-500.0, 500.0)),
+            Vehicle(3, "v4", 130.0, (80.0, 180.0)),
+            Vehicle(4, "v7", 5000.0, (4950.0, 5050.0)),
+        ],
+    )
+    scored = []
+    for name in ("selfish_values", "coop_values"):
+        def counted(self, idx, cur, original=getattr(game._PlatoonState, name)):
+            scored.append(idx)
+            return original(self, idx, cur)
+        monkeypatch.setattr(game._PlatoonState, name, counted)
+    pref = inst.preferred_profile
+    merged = (0.0, 130.0, 130.0, 5000.0)
+    for objective, solve in (
+        ("self", lambda: brd_solve(inst)),
+        ("cooperative", lambda: coop_solve(inst, start=pref)),
+    ):
+        scored.clear()
+        report = solve()
+        assert scored == [0, 1, 2, 3, 0, 1]
+        final, rounds, history, _ = ref_sweep_solve(inst, objective, start=pref)
+        assert history == [pref, merged, merged]
+        assert (report.final, report.rounds, report.history) == (final, rounds, history)
 
 
 def test_brd_cap_raises(fig3):
