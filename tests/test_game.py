@@ -75,7 +75,7 @@ def test_profile_validation(pair):
         with pytest.raises(ValueError, match="vehicle 1: departure time .* not a feasible action"):
             vehicle_utility(pair, (bad, 100.0), 1)
         with pytest.raises(ValueError, match="vehicle 2: departure time .* not a feasible action"):
-            potential(pair, (0.0, bad))
+            vehicle_utility(pair, (0.0, bad), 1)
     with pytest.raises(ValueError, match="entries"):
         vehicle_utility(pair, (0.0,), 1)
 
