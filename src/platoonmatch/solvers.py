@@ -105,7 +105,7 @@ def _sweep_solve(
     values = _values(state, objective)
     history = [tuple(s)]
     rounds = 0
-    last = n - 1  # the last vehicle that moved in the previous sweep
+    last = n - 1  # the previous sweep's last mover; n - 1 runs the first sweep in full
     while True:
         mover = -1
         for idx in range(n):
