@@ -1,9 +1,11 @@
 """Byte-for-byte pins of CLI output on fixed inputs.
 
-The files under ``tests/golden/`` were written by the full-recompute
-evaluation code that preceded the incremental platoon-state kernel.  Any
-change to solver decisions, round counts or the summation order of the
-reported numbers shows up here as a byte difference.
+The sweep and solve files under ``tests/golden/`` were written by the
+full-recompute evaluation code that preceded the incremental platoon-state
+kernel, the ``oracle_*.txt`` files by the enumeration that followed the
+profiles with that kernel's state.  Any change to solver decisions, round
+counts, the equilibrium set or the summation order of the reported numbers
+shows up here as a byte difference.
 """
 
 from pathlib import Path
@@ -57,3 +59,19 @@ def test_solve_matches_golden(tmp_path, scenario, mode):
     assert main(["solve", str(scenario), "--mode", mode, "--out", str(out)]) == 0
     golden = GOLDEN / f"solve_{scenario.stem}_{mode}.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+ORACLE_INPUTS = [
+    ("two-vehicles", [SCENARIOS / "two-vehicles.scn"]),
+    ("coop-merge", [SCENARIOS / "coop-merge.scn"]),
+] + [
+    (f"fig3-n6-seed{k}", [GOLDEN / "oracle-fig3-n6.scn", "--seed", str(k)])
+    for k in range(4)
+]
+
+
+@pytest.mark.parametrize("name, args", ORACLE_INPUTS, ids=[n for n, _ in ORACLE_INPUTS])
+def test_oracle_matches_golden(capsys, name, args):
+    assert main(["oracle", *map(str, args)]) == 0
+    golden = GOLDEN / f"oracle_{name}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
