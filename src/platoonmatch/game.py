@@ -181,6 +181,17 @@ class Instance:
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
         #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
+        # Every saving sum (a utility, the potential, the common utility) is
+        # at most N * f_max * (total edge length).
+        bound = self.params.saving_bound()
+        road = sum(self._lengths)
+        if not isfinite(len(self.vehicles) * bound * road):
+            name = "k_p" if self.params.f_max is None else "f_max"
+            raise InputError(
+                name,
+                f"{name} {bound!r} overflows the saving sums: {len(self.vehicles)} "
+                f"vehicles x {bound!r} x {road!r} m of road is not finite",
+            )
         try:
             tables = _saving_tables(self.params, len(self.vehicles))
         except TypeError:  # a custom callable that cannot be hashed: build them uncached

@@ -13,7 +13,6 @@ guaranteed; the iteration cap only exists to turn a bug into a loud error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -162,13 +161,15 @@ def coop_solve(
     return _sweep_solve(instance, "cooperative", max_sweeps, start=tuple(start))
 
 
-def _is_nash_state(instance: Instance, state: game._PlatoonState, profile, tol: float) -> bool:
-    """No vehicle of ``profile`` gains more than ``tol`` by deviating alone.
+def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
+    """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone.
 
-    ``profile`` may be a prefix of the profile ``state`` holds; the vehicles
-    after it are not checked.  Each vehicle stops at its first profitable
-    deviation.
+    Each vehicle stops at its first profitable deviation.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    game._check_profile(instance, profile)
+    state = game._PlatoonState(instance, profile)
     f = instance._f
     lengths = instance._lengths
     counts = state.counts
@@ -194,12 +195,44 @@ def _is_nash_state(instance: Instance, state: game._PlatoonState, profile, tol: 
     return True
 
 
-def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
-    """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone."""
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
-    game._check_profile(instance, profile)
-    return _is_nash_state(instance, game._PlatoonState(instance, profile), profile, tol)
+class _SavingMemo(dict):
+    """Route saving ``sum f[n(e)] * d(e)``, in route order, by packed head counts.
+
+    A key holds the head count ``n(e)`` of each edge ``e`` of the route in
+    bits ``[e * width, (e + 1) * width)``; a missing key runs the route walk
+    of the platoon-state kernel once, so a value has the kernel's bits.
+    """
+
+    def __init__(self, instance: Instance, route: tuple[int, ...], width: int):
+        super().__init__()
+        self._f = instance._f
+        self._legs = tuple((e * width, instance._lengths[e]) for e in route)
+        self._field = (1 << width) - 1
+
+    def __missing__(self, key: int) -> float:
+        f = self._f
+        field = self._field
+        total = 0.0
+        for shift, length in self._legs:
+            total += f[key >> shift & field] * length
+        self[key] = total
+        return total
+
+
+def _stable(current, packed: list[int]) -> bool:
+    """No vehicle of ``current`` gains more than GAIN_EPS by deviating alone.
+
+    ``current`` holds one ``(unit, mask, memo, slot, penalty, others)``
+    record per vehicle: its route's unit counts and field mask, its route's
+    saving memo, the slot and penalty of the action it plays and the
+    ``(slot, penalty)`` pairs of its other actions.
+    """
+    for unit, mask, memo, slot, pen, others in current:
+        bar = memo[packed[slot] & mask] - pen + GAIN_EPS
+        for s, p in others:
+            if memo[(packed[s] + unit) & mask] - p > bar:
+                return False
+    return True
 
 
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
@@ -207,32 +240,75 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
 
     Raises ValueError when the profile space exceeds ``cap``.  Never empty:
     a finite exact potential game always has a pure NE.
+
+    Each departure time keeps one int packing the head count of every edge
+    in a field ``N.bit_length()`` bits wide, so placing or removing a vehicle
+    adds or subtracts its route's unit counts, and a saving is looked up in
+    a memo shared by the vehicles of one route, keyed by the counts on that
+    route.  Only the vehicles with more than one action are enumerated, by
+    an odometer whose last digit turns fastest; a vehicle with one action
+    cannot deviate, so it is placed once and never checked.  The last
+    vehicle's utilities depend on the others only, so its best responses
+    are found once per head, and only those profiles get the full check of
+    the other vehicles.
     """
-    size = math.prod(len(a) for a in instance._actions)
+    actions = instance._actions
+    size = math.prod(len(a) for a in actions)
     if size > cap:
         raise ValueError(f"profile space holds {size} profiles, exceeding the cap {cap}")
-    *head, tail = instance._actions
-    last = len(head)
-    profile = [a[0] for a in instance._actions]
-    state = game._PlatoonState(instance, profile)
+    width = instance.n_vehicles.bit_length()
+    slot = {t: k for k, t in enumerate(instance._all_times)}
+    packed = [0] * len(slot)  # every vehicle starts at its first action
+    memos: dict[tuple[int, ...], _SavingMemo] = {}
+    movers = []  # (idx, one _stable record per action) of each vehicle with a choice
+    for idx, (acts, route) in enumerate(zip(actions, instance._routes)):
+        unit = sum(1 << e * width for e in route)
+        packed[slot[acts[0]]] += unit
+        if len(acts) == 1:
+            continue
+        if route not in memos:
+            memos[route] = _SavingMemo(instance, route, width)
+        shared = (unit, unit * ((1 << width) - 1), memos[route])
+        pairs = [(slot[a], p) for a, p in zip(acts, instance._pen[idx])]
+        movers.append((idx, tuple(
+            shared + pair + (tuple(pairs[:k] + pairs[k + 1:]),) for k, pair in enumerate(pairs)
+        )))
+    profile = [a[0] for a in actions]
+    if not movers:
+        return {tuple(profile)}
+    *head, (last, records) = movers
+    unit, mask, memo = records[0][:3]
+    pairs = [record[3:5] for record in records]
+    packed[pairs[0][0]] -= unit  # the last vehicle is placed per best response
+    current = [options[0] for _, options in head]
+    digits = [0] * len(head)
     out: set[tuple[float, ...]] = set()
-    # One state follows the walk with a move per changed coordinate.  The
-    # last vehicle's utilities depend on the others only, so its best
-    # responses are found once per head, and only those profiles get the
-    # full check of the other vehicles.
-    for h in itertools.product(*head):
-        for idx, t in enumerate(h):
-            if t != profile[idx]:
-                state.move(idx, profile[idx], t)
-                profile[idx] = t
-        values = state.selfish_values(last, profile[last])
+    while True:
+        values = []
+        for s, p in pairs:
+            values.append(memo[(packed[s] + unit) & mask] - p)
         top = max(values)
-        for t, v in zip(tail, values):
+        for k, ((s, _), v) in enumerate(zip(pairs, values)):
             if top > v + GAIN_EPS:
                 continue
-            if t != profile[last]:
-                state.move(last, profile[last], t)
-                profile[last] = t
-            if _is_nash_state(instance, state, h, GAIN_EPS):
-                out.add(h + (t,))
-    return out
+            packed[s] += unit
+            if _stable(current, packed):
+                for (idx, _), j in zip(head, digits):
+                    profile[idx] = actions[idx][j]
+                profile[last] = actions[last][k]
+                out.add(tuple(profile))
+            packed[s] -= unit
+        # the next head: the last digit turns fastest, a wrapped digit carries
+        for d in reversed(range(len(head))):
+            options = head[d][1]
+            step = options[0][0]
+            j = digits[d]
+            packed[options[j][3]] -= step
+            j = j + 1 if j + 1 < len(options) else 0
+            packed[options[j][3]] += step
+            digits[d] = j
+            current[d] = options[j]
+            if j:
+                break
+        else:
+            return out

@@ -79,15 +79,20 @@ def random_tree_edges(rng, max_nodes=10):
     return edges
 
 
-def random_instance(rng, max_nodes=10, max_vehicles=8, alpha_hi=2000.0, params=None):
-    """Random tree, destinations, preferred times, and windows."""
+def random_instance(
+    rng, max_nodes=10, max_vehicles=8, alpha_hi=2000.0, params=None, max_halfwidth=1000.0
+):
+    """Random tree, destinations, preferred times, and windows.
+
+    Window half-widths are drawn from ``[50, max_halfwidth]`` seconds.
+    """
     edges = random_tree_edges(rng, max_nodes)
     nodes = {t for t, _, _ in edges} | {h for _, h, _ in edges}
     net = RoadNetwork(nodes, edges, "v1")
     pool = sorted(nodes - {"v1"})
     n = int(rng.integers(1, max_vehicles + 1))
     alpha = float(rng.uniform(0.0, alpha_hi))
-    h = float(rng.uniform(50.0, 1000.0))
+    h = float(rng.uniform(50.0, max_halfwidth))
     vehicles = []
     for i in range(n):
         t = float(rng.uniform(0.0, alpha))

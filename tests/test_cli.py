@@ -163,12 +163,14 @@ GEN = FIG3 + "generate n 3\n"
         (None, ("sweep", "--n", "2", "--reps", "1", "--alphas", "inf"), r"alpha must be finite"),
         (None, ("sweep", "--n", "2", "--reps", "1", "--halfwidth", "inf"),
          r"window_halfwidth must be finite"),
+        (None, ("sweep", "--kp", "1e305", "--reps", "3", "--alphas", "0,300"),
+         r"k_p 1e\+305 overflows the saving sums"),
         (None, ("sweep", "--alphas", ","), r"alphas must hold at least one value"),
         (None, ("sweep", "--alphas", "1:0:1"), r"alphas must hold at least one value"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
          "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
-         "sweep-alphas-empty", "sweep-alphas-empty-range"],
+         "sweep-k_p-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range"],
 )
 def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
@@ -194,6 +196,19 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pa
 )
 def test_rejection_anchors(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_overflowing_saving_rejected_at_its_line(tmp_path, capsys, command):
+    # at k_p 1e305 every rate is finite, but the route sums overflow
+    path = tmp_path / "huge.scn"
+    path.write_text(
+        FIG3 + "param k_t 0.015\nparam k_p 1e305\n"
+        "vehicle v4 0 -500 500\nvehicle v5 100 -400 600\nvehicle v6 50 -400 600\n"
+    )
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: line 3: k_p 1e\+305 overflows the saving sums[^\n]*\n", err), err
 
 
 def test_generator_seed_override(tmp_path):

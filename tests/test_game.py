@@ -18,6 +18,7 @@ from platoonmatch import (
     total_fuel_saving,
     vehicle_utility,
 )
+from platoonmatch.network import InputError
 from _reference import random_instance, random_profile, ref_utility
 
 
@@ -120,6 +121,23 @@ def test_default_penalty_overflow_rejected(fig3):
         ValueError, match=r"vehicle 1: deviation penalty inf .* must be finite and >= 0"
     ):
         Instance(fig3, vehicles, ModelParams(k_t=1e10))
+
+
+@pytest.mark.parametrize(
+    "params, subject",
+    [
+        (ModelParams(k_p=1e305), "k_p"),
+        (ModelParams(saving=lambda n: 0.0, f_max=1e305), "f_max"),
+    ],
+    ids=["k_p", "f_max"],
+)
+def test_saving_sum_overflow_rejected(fig3, params, subject):
+    # each rate is finite, but 3 vehicles x 1e305 x 792 km of road is not
+    vehicles = [Vehicle(i + 1, "v9", 0.0, (0.0, 0.0)) for i in range(3)]
+    with pytest.raises(InputError, match=rf"{subject} 1e\+305 overflows the saving sums") as exc:
+        Instance(fig3, vehicles, params)
+    assert exc.value.subject == subject
+    Instance(fig3, vehicles, dataclasses.replace(params, **{subject: 1e295}))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])

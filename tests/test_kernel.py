@@ -39,7 +39,7 @@ from _reference import (
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_vehicles=6, max_halfwidths=(1000.0,)):
     """Random trees and vehicles under the default, the custom or the
     lone-saving model.
 
@@ -49,8 +49,10 @@ def instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = draw(st.sampled_from([ModelParams, custom_params, lone_saving_params]))()
     alpha_hi = draw(st.sampled_from([500.0, 2000.0, 8000.0]))
+    max_halfwidth = draw(st.sampled_from(max_halfwidths))
     return random_instance(
-        rng, max_nodes=8, max_vehicles=6, alpha_hi=alpha_hi, params=params
+        rng, max_nodes=8, max_vehicles=max_vehicles, alpha_hi=alpha_hi, params=params,
+        max_halfwidth=max_halfwidth,
     ), rng
 
 
@@ -88,9 +90,10 @@ def test_best_response_and_is_nash_match_full_recompute(data):
                 assert best_response(inst, s, idx + 1, objective) == want
 
 
-@settings(max_examples=80, deadline=None)
-@given(instances())
+@settings(max_examples=120, deadline=None)
+@given(instances(max_vehicles=12, max_halfwidths=(1000.0, 300.0, 60.0)))
 def test_brute_force_nash_matches_full_recompute(data):
+    # Up to 12 vehicles; narrow windows leave many of them a single action.
     inst, _ = data
     if np.prod([len(a) for a in inst._actions]) > 3000:
         return

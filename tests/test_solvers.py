@@ -20,8 +20,11 @@ from platoonmatch import (
     potential,
 )
 from _reference import (
+    custom_params,
+    lone_saving_params,
     random_instance,
     ref_action_sets,
+    ref_brute_force_nash,
     ref_coop_argmax,
     ref_sweep_solve,
     ref_utility,
@@ -358,3 +361,38 @@ def test_brute_force_matches_reference_enumeration(fig3):
         if nash:
             by_hand.add(s)
     assert brute_force_nash(inst) == by_hand
+
+
+MODELS = [ModelParams, custom_params, lone_saving_params]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("n", [7, 8])
+def test_brute_force_full_head_counts(fig3, n, model):
+    # One route and two shared times: the profile with everyone at one time
+    # puts a count of N, the top of its packed field, on every edge.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(n)]
+    inst = Instance(fig3, vehicles, model())
+    equilibria = brute_force_nash(inst)
+    assert (0.0,) * n in equilibria
+    assert equilibria == ref_brute_force_nash(inst)
+
+
+def test_brute_force_every_vehicle_has_one_action(fig3):
+    dests = ["v2", "v4", "v5", "v9", "v4"]
+    vehicles = [Vehicle(i + 1, d, 10.0 * i, (10.0 * i - 5, 10.0 * i + 5)) for i, d in enumerate(dests)]
+    inst = Instance(fig3, vehicles)
+    assert brute_force_nash(inst) == ref_brute_force_nash(inst) == {inst.preferred_profile}
+
+
+def test_brute_force_many_one_action_vehicles(fig3):
+    # 1,200 vehicles that cannot deviate and two that can: no recursion per vehicle.
+    vehicles = [Vehicle(i + 1, "v9", 10.0 * i, (10.0 * i, 10.0 * i)) for i in range(1200)]
+    vehicles += [
+        Vehicle(1201, "v4", 0.0, (0.0, 10.0)),
+        Vehicle(1202, "v5", 10.0, (0.0, 10.0)),
+    ]
+    inst = Instance(fig3, vehicles)
+    equilibria = brute_force_nash(inst)
+    assert equilibria == ref_brute_force_nash(inst)
+    assert len(equilibria) == 2
