@@ -222,15 +222,16 @@ class _SavingMemo(dict):
 def _stable(current, packed: list[int]) -> bool:
     """No vehicle of ``current`` gains more than GAIN_EPS by deviating alone.
 
-    ``current`` holds one ``(unit, mask, memo, slot, penalty, others)``
-    record per vehicle: its route's unit counts and field mask, its route's
-    saving memo, the slot and penalty of the action it plays and the
-    ``(slot, penalty)`` pairs of its other actions.
+    ``current`` holds one ``(unit, mask, memo, pairs, k)`` record per
+    vehicle: its route's unit counts, field mask and saving memo, the
+    ``(slot, penalty)`` pair of each of its actions and the index of the
+    action it plays.
     """
-    for unit, mask, memo, slot, pen, others in current:
+    for unit, mask, memo, pairs, k in current:
+        slot, pen = pairs[k]
         bar = memo[packed[slot] & mask] - pen + GAIN_EPS
-        for s, p in others:
-            if memo[(packed[s] + unit) & mask] - p > bar:
+        for s, p in pairs:
+            if s != slot and memo[(packed[s] + unit) & mask] - p > bar:
                 return False
     return True
 
@@ -248,9 +249,9 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     route.  Only the vehicles with more than one action are enumerated, by
     an odometer whose last digit turns fastest; a vehicle with one action
     cannot deviate, so it is placed once and never checked.  The last
-    vehicle's utilities depend on the others only, so its best responses
-    are found once per head, and only those profiles get the full check of
-    the other vehicles.
+    enumerated vehicle's utilities depend on the others only, so its best
+    responses are found once per head, and only those profiles get the full
+    check of the other vehicles.
     """
     actions = instance._actions
     size = math.prod(len(a) for a in actions)
@@ -260,7 +261,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     slot = {t: k for k, t in enumerate(instance._all_times)}
     packed = [0] * len(slot)  # every vehicle starts at its first action
     memos: dict[tuple[int, ...], _SavingMemo] = {}
-    movers = []  # (idx, one _stable record per action) of each vehicle with a choice
+    movers = []  # (idx, unit counts, field mask, memo, (slot, penalty) per action)
     for idx, (acts, route) in enumerate(zip(actions, instance._routes)):
         unit = sum(1 << e * width for e in route)
         packed[slot[acts[0]]] += unit
@@ -268,20 +269,15 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             continue
         if route not in memos:
             memos[route] = _SavingMemo(instance, route, width)
-        shared = (unit, unit * ((1 << width) - 1), memos[route])
-        pairs = [(slot[a], p) for a, p in zip(acts, instance._pen[idx])]
-        movers.append((idx, tuple(
-            shared + pair + (tuple(pairs[:k] + pairs[k + 1:]),) for k, pair in enumerate(pairs)
-        )))
+        pairs = tuple(zip([slot[a] for a in acts], instance._pen[idx]))
+        movers.append((idx, unit, unit * ((1 << width) - 1), memos[route], pairs))
     profile = [a[0] for a in actions]
     if not movers:
         return {tuple(profile)}
-    *head, (last, records) = movers
-    unit, mask, memo = records[0][:3]
-    pairs = [record[3:5] for record in records]
+    *head, (last, unit, mask, memo, pairs) = movers
     packed[pairs[0][0]] -= unit  # the last vehicle is placed per best response
-    current = [options[0] for _, options in head]
-    digits = [0] * len(head)
+    options = [[mover[1:] + (k,) for k in range(len(mover[4]))] for mover in head]
+    current = [records[0] for records in options]  # the _stable record of each head vehicle
     out: set[tuple[float, ...]] = set()
     while True:
         values = []
@@ -293,21 +289,18 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
                 continue
             packed[s] += unit
             if _stable(current, packed):
-                for (idx, _), j in zip(head, digits):
-                    profile[idx] = actions[idx][j]
+                for (idx, *_), record in zip(head, current):
+                    profile[idx] = actions[idx][record[4]]
                 profile[last] = actions[last][k]
                 out.add(tuple(profile))
             packed[s] -= unit
         # the next head: the last digit turns fastest, a wrapped digit carries
         for d in reversed(range(len(head))):
-            options = head[d][1]
-            step = options[0][0]
-            j = digits[d]
-            packed[options[j][3]] -= step
-            j = j + 1 if j + 1 < len(options) else 0
-            packed[options[j][3]] += step
-            digits[d] = j
-            current[d] = options[j]
+            step, _, _, choices, j = current[d]
+            packed[choices[j][0]] -= step
+            j = j + 1 if j + 1 < len(choices) else 0
+            packed[choices[j][0]] += step
+            current[d] = options[d][j]
             if j:
                 break
         else:
