@@ -380,7 +380,9 @@ def test_brute_force_full_head_counts(fig3, n, model):
 
 def test_brute_force_every_vehicle_has_one_action(fig3):
     dests = ["v2", "v4", "v5", "v9", "v4"]
-    vehicles = [Vehicle(i + 1, d, 10.0 * i, (10.0 * i - 5, 10.0 * i + 5)) for i, d in enumerate(dests)]
+    vehicles = [
+        Vehicle(i + 1, d, 10.0 * i, (10.0 * i - 5, 10.0 * i + 5)) for i, d in enumerate(dests)
+    ]
     inst = Instance(fig3, vehicles)
     assert brute_force_nash(inst) == ref_brute_force_nash(inst) == {inst.preferred_profile}
 
