@@ -13,8 +13,13 @@ from pathlib import Path
 import pytest
 
 from platoonmatch import (
+    Instance,
+    RoadNetwork,
     ScenarioConfig,
+    Vehicle,
+    brute_force_nash,
     default_alpha_grid,
+    generate_scenario,
     paper_fig3,
     sweep_alpha,
     trend_summary,
@@ -75,3 +80,49 @@ def test_oracle_matches_golden(capsys, name, args):
     assert main(["oracle", *map(str, args)]) == 0
     golden = GOLDEN / f"oracle_{name}.txt"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def _generated_n7():
+    # 7^7 = 823,543 profiles: every preferred time lies in every window.
+    config = ScenarioConfig(
+        network=paper_fig3(), n_vehicles=7, alpha=300.0, seed=3, window_halfwidth=500.0
+    )
+    return generate_scenario(config)
+
+
+def _two_times(network, dests):
+    return Instance(network, [
+        Vehicle(i + 1, d, 100.0 * (i % 2), (-500.0, 600.0)) for i, d in enumerate(dests)
+    ])
+
+
+def _nested_path_n18():
+    # Vehicle i drives to node i of a path, so the head counts on a route
+    # tell which vehicles share it: 2^18 profiles.
+    nodes = [f"p{i}" for i in range(19)]
+    edges = [(a, b, 1000.0 * (i + 1)) for i, (a, b) in enumerate(zip(nodes, nodes[1:]))]
+    return _two_times(RoadNetwork(nodes, edges, "p0"), nodes[1:])
+
+
+def _fig3_n18():
+    dests = [f"v{k}" for k in range(2, 14)]
+    return _two_times(paper_fig3(), [dests[i % len(dests)] for i in range(18)])
+
+
+LARGE_ORACLE_INPUTS = {
+    "generated-n7": _generated_n7,
+    "nested-path-n18": _nested_path_n18,
+    "fig3-n18": _fig3_n18,
+}
+
+
+def _profile_lines(equilibria) -> str:
+    return "".join(" ".join(map(repr, s)) + "\n" for s in sorted(equilibria))
+
+
+@pytest.mark.parametrize("name", LARGE_ORACLE_INPUTS)
+def test_oracle_large_spaces_match_golden(name):
+    """Sorted equilibria of three large profile spaces, one per line."""
+    equilibria = brute_force_nash(LARGE_ORACLE_INPUTS[name]())
+    golden = GOLDEN / f"oracle_large_{name}.txt"
+    assert _profile_lines(equilibria) == golden.read_text()
