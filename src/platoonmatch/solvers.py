@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from . import game
 from .game import Instance, Profile
 
@@ -25,6 +27,10 @@ from .game import Instance, Profile
 GAIN_EPS = 1e-12
 
 _OBJECTIVES = ("self", "cooperative")
+
+#: numpy's limit on the number of array axes; ``brute_force_nash`` gives each
+#: vehicle with a choice one axis.
+_MAX_AXES = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -195,113 +201,77 @@ def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool
     return True
 
 
-class _SavingMemo(dict):
-    """Route saving ``sum f[n(e)] * d(e)``, in route order, by packed head counts.
-
-    A key holds the head count ``n(e)`` of each edge ``e`` of the route in
-    bits ``[e * width, (e + 1) * width)``; a missing key runs the route walk
-    of the platoon-state kernel once, so a value has the kernel's bits.
-    """
-
-    def __init__(self, instance: Instance, route: tuple[int, ...], width: int):
-        super().__init__()
-        self._f = instance._f
-        self._legs = tuple((e * width, instance._lengths[e]) for e in route)
-        self._field = (1 << width) - 1
-
-    def __missing__(self, key: int) -> float:
-        f = self._f
-        field = self._field
-        total = 0.0
-        for shift, length in self._legs:
-            total += f[key >> shift & field] * length
-        self[key] = total
-        return total
-
-
-def _stable(current, packed: list[int]) -> bool:
-    """No vehicle of ``current`` gains more than GAIN_EPS by deviating alone.
-
-    ``current`` holds one ``(unit, mask, memo, pairs, k)`` record per
-    vehicle: its route's unit counts, field mask and saving memo, the
-    ``(slot, penalty)`` pair of each of its actions and the index of the
-    action it plays.
-    """
-    for unit, mask, memo, pairs, k in current:
-        slot, pen = pairs[k]
-        bar = memo[packed[slot] & mask] - pen + GAIN_EPS
-        for s, p in pairs:
-            if s != slot and memo[(packed[s] + unit) & mask] - p > bar:
-                return False
-    return True
-
-
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
-    """All pure Nash equilibria, by checking every profile of the space.
+    """All pure Nash equilibria, by checking every profile of the space at once.
 
-    Raises ValueError when the profile space exceeds ``cap``.  Never empty:
-    a finite exact potential game always has a pure NE.
+    Raises ValueError when the profile space exceeds ``cap``, or when more
+    than 64 vehicles (numpy's limit on array axes) have a choice.  Never
+    empty: a finite exact potential game always has a pure NE.
 
-    Each departure time keeps one int packing the head count of every edge
-    in a field ``N.bit_length()`` bits wide, so placing or removing a vehicle
-    adds or subtracts its route's unit counts, and a saving is looked up in
-    a memo shared by the vehicles of one route, keyed by the counts on that
-    route.  Only the vehicles with more than one action are enumerated, by
-    an odometer whose last digit turns fastest; a vehicle with one action
-    cannot deviate, so it is placed once and never checked.  The last
-    enumerated vehicle's utilities depend on the others only, so its best
-    responses are found once per head, and only those profiles get the full
-    check of the other vehicles.
+    Each vehicle with more than one action gets one numpy axis, holding the
+    slot in ``_all_times`` of each of its actions, so the axes together span
+    the profile space; a vehicle with one action cannot deviate and is a
+    fixed slot that only adds to head counts.  For each vehicle with a
+    choice, the head count ``n(e)`` of each edge of its route is the number
+    of the edge's users that play its slot, summed from broadcast slot
+    comparisons.  Its utility in every profile is the kernel's route walk,
+    from 0.0 in route order adding ``f[n(e)] * d(e)``, minus the penalty of
+    its action; it is stable where no action along its own axis beats that
+    by more than GAIN_EPS.  Each product, sum and comparison is the IEEE
+    operation the kernel makes, in the kernel's order, so the set has the
+    kernel's bits.  The arrays take roughly 20-30 bytes per profile, so the
+    cap also bounds memory.
     """
     actions = instance._actions
     size = math.prod(len(a) for a in actions)
     if size > cap:
         raise ValueError(f"profile space holds {size} profiles, exceeding the cap {cap}")
-    width = instance.n_vehicles.bit_length()
+    movers = [idx for idx, acts in enumerate(actions) if len(acts) > 1]
+    if len(movers) > _MAX_AXES:
+        raise ValueError(
+            f"profile space holds {size} profiles over {len(movers)} vehicles with a "
+            f"choice; at most {_MAX_AXES} can be checked as array axes"
+        )
     slot = {t: k for k, t in enumerate(instance._all_times)}
-    packed = [0] * len(slot)  # every vehicle starts at its first action
-    memos: dict[tuple[int, ...], _SavingMemo] = {}
-    movers = []  # (idx, unit counts, field mask, memo, (slot, penalty) per action)
-    for idx, (acts, route) in enumerate(zip(actions, instance._routes)):
-        unit = sum(1 << e * width for e in route)
-        packed[slot[acts[0]]] += unit
-        if len(acts) == 1:
-            continue
-        if route not in memos:
-            memos[route] = _SavingMemo(instance, route, width)
-        pairs = tuple(zip([slot[a] for a in acts], instance._pen[idx]))
-        movers.append((idx, unit, unit * ((1 << width) - 1), memos[route], pairs))
-    profile = [a[0] for a in actions]
-    if not movers:
-        return {tuple(profile)}
-    *head, (last, unit, mask, memo, pairs) = movers
-    packed[pairs[0][0]] -= unit  # the last vehicle is placed per best response
-    options = [[mover[1:] + (k,) for k in range(len(mover[4]))] for mover in head]
-    current = [records[0] for records in options]  # the _stable record of each head vehicle
+    grid: list = [slot[acts[0]] for acts in actions]
+    for axis, idx in enumerate(movers):
+        shape = [1] * len(movers)
+        shape[axis] = -1
+        grid[idx] = np.array([slot[a] for a in actions[idx]]).reshape(shape)
+    users: list[list[int]] = [[] for _ in instance._lengths]
+    for j, route in enumerate(instance._routes):
+        for e in route:
+            users[e].append(j)
+    # the walk's product f[n] * d(e), made once per head count and edge
+    f = np.array(instance._f)
+    saving = [f * d for d in instance._lengths]
+    count = np.min_scalar_type(instance.n_vehicles)
+    stable = np.ones([len(actions[idx]) for idx in movers], dtype=bool)
+    for axis, idx in enumerate(movers):
+        own = grid[idx]
+        route = instance._routes[idx]
+        # The users of an edge include those of every deeper edge of the route,
+        # so the head counts are summed from the deepest edge up.
+        heads = np.zeros(own.shape, count)
+        counted: set[int] = set()
+        walk = []
+        for e in reversed(route):
+            for j in users[e]:
+                if j not in counted:
+                    counted.add(j)
+                    heads = heads + (grid[j] == own)
+            walk.append((e, heads))
+        u = np.zeros(stable.shape)
+        for e, heads in reversed(walk):
+            u += saving[e][heads]
+        u -= np.reshape(instance._pen[idx], own.shape)
+        best = u.max(axis=axis, keepdims=True)
+        u += GAIN_EPS
+        stable &= best <= u
+    profile = [acts[0] for acts in actions]
     out: set[tuple[float, ...]] = set()
-    while True:
-        values = []
-        for s, p in pairs:
-            values.append(memo[(packed[s] + unit) & mask] - p)
-        top = max(values)
-        for k, ((s, _), v) in enumerate(zip(pairs, values)):
-            if top > v + GAIN_EPS:
-                continue
-            packed[s] += unit
-            if _stable(current, packed):
-                for (idx, *_), record in zip(head, current):
-                    profile[idx] = actions[idx][record[4]]
-                profile[last] = actions[last][k]
-                out.add(tuple(profile))
-            packed[s] -= unit
-        # the next head: the last digit turns fastest, a wrapped digit carries
-        for d in reversed(range(len(head))):
-            step, _, _, choices, j = current[d]
-            packed[choices[j][0]] -= step
-            j = j + 1 if j + 1 < len(choices) else 0
-            packed[choices[j][0]] += step
-            current[d] = options[d][j]
-            if j:
-                break
-        else:
-            return out
+    for ks in np.argwhere(stable).tolist():
+        for idx, k in zip(movers, ks):
+            profile[idx] = actions[idx][k]
+        out.add(tuple(profile))
+    return out

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,21 @@ def test_brute_force_cap(fig3):
     inst = same_dest_pair(fig3)
     with pytest.raises(ValueError, match="cap"):
         brute_force_nash(inst, cap=1)
+
+
+def test_brute_force_rejects_more_axes_than_numpy_has(fig3):
+    # 65 vehicles with two actions each fit a raised cap, but not 64 array axes:
+    # the oracle says so before it allocates anything.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(65)]
+    inst = Instance(fig3, vehicles)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"holds {2**65} profiles over 65 vehicles"):
+            brute_force_nash(inst, cap=2**65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_brute_force_agrees_with_solver_and_potential_argmax():
