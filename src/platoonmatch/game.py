@@ -164,6 +164,7 @@ class Instance:
         k_t = self.params.k_t
         actions = []
         pens = []
+        worst = 0.0  # the sum of every vehicle's largest penalty
         for v, pref in zip(self.vehicles, self._pref):
             lo, hi = v.window
             acts = times[bisect_left(times, lo):bisect_right(times, hi)]
@@ -178,20 +179,31 @@ class Instance:
                     )
             actions.append(acts)
             pens.append(row)
+            worst += max(row)
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
         #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
         # Every saving sum (a utility, the potential, the common utility) is
-        # at most N * f_max * (total edge length).
+        # at most N * f_max * (total edge length), and every penalty sum at
+        # most ``worst``; their sum bounds every value the solvers compare.
         bound = self.params.saving_bound()
         road = sum(self._lengths)
-        if not isfinite(len(self.vehicles) * bound * road):
+        savings = len(self.vehicles) * bound * road
+        if not isfinite(savings):
             name = "k_p" if self.params.f_max is None else "f_max"
             raise InputError(
                 name,
                 f"{name} {bound!r} overflows the saving sums: {len(self.vehicles)} "
                 f"vehicles x {bound!r} x {road!r} m of road is not finite",
             )
+        if not isfinite(savings + worst):
+            why = (
+                f"the largest penalties of the {len(self.vehicles)} vehicles sum to "
+                f"{worst!r}, which with saving sums up to {savings!r} is not finite"
+            )
+            if pen is None:
+                raise InputError("k_t", f"k_t {k_t!r} overflows the penalty sums: {why}")
+            raise ValueError(f"the custom deviation penalty overflows the penalty sums: {why}")
         try:
             tables = _saving_tables(self.params, len(self.vehicles))
         except TypeError:  # a custom callable that cannot be hashed: build them uncached

@@ -165,12 +165,14 @@ GEN = FIG3 + "generate n 3\n"
          r"window_halfwidth must be finite"),
         (None, ("sweep", "--kp", "1e305", "--reps", "3", "--alphas", "0,300"),
          r"k_p 1e\+305 overflows the saving sums"),
+        (FIG3 + "param k_t 1e300\nvehicle v4 0 -1.5e8 1.5e8\nvehicle v5 1.5e8 0 1.5e8\n", (),
+         r"line 2: k_t 1e\+300 overflows the penalty sums"),
         (None, ("sweep", "--alphas", ","), r"alphas must hold at least one value"),
         (None, ("sweep", "--alphas", "1:0:1"), r"alphas must hold at least one value"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
          "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
-         "sweep-k_p-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range"],
+         "sweep-k_p-overflow", "k_t-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range"],
 )
 def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)

@@ -140,6 +140,24 @@ def test_saving_sum_overflow_rejected(fig3, params, subject):
     Instance(fig3, vehicles, dataclasses.replace(params, **{subject: 1e295}))
 
 
+def test_penalty_sum_overflow_rejected(fig3):
+    # each penalty is k_t * 1.5e8 = 1.5e308, finite, but two of them are not
+    vehicles = [
+        Vehicle(1, "v4", 0.0, (-1.5e8, 1.5e8)),
+        Vehicle(2, "v5", 1.5e8, (0.0, 1.5e8)),
+    ]
+    with pytest.raises(InputError, match=r"k_t 1e\+300 overflows the penalty sums") as exc:
+        Instance(fig3, vehicles, ModelParams(k_t=1e300))
+    assert exc.value.subject == "k_t"
+    custom = ModelParams(penalty=lambda chosen, pref: 0.0 if chosen == pref else 1e308)
+    with pytest.raises(ValueError, match=r"custom deviation penalty overflows the penalty sums"):
+        Instance(fig3, vehicles, custom)
+    inst = Instance(fig3, vehicles, ModelParams(k_t=1e299))
+    both_deviate = (1.5e8, 0.0)
+    assert np.isfinite(potential(inst, both_deviate))
+    assert np.isfinite(cooperative_utility(inst, both_deviate))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_penalty_rejected_naming_vehicle_and_action(fig3, bad):
     # a NaN penalty used to reach an AssertionError inside the solvers
