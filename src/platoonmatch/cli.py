@@ -24,6 +24,7 @@ fixed: seconds, meters, dollars, liters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -399,7 +400,13 @@ def cmd_demo_fig4(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing reads it and returns a new namespace each time, so one call's
+    flags never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="platoonmatch",
         description="Departure-time platoon matching: equilibrium and cooperative solvers.",
@@ -419,7 +426,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="enumerate all pure NE and check the solver")
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--cap", type=int, default=1_000_000,
-                          help="maximum profile-space size to enumerate")
+                          help="maximum profile-space size to enumerate; it also bounds "
+                               "memory, at roughly 20-30 bytes per profile")
     p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

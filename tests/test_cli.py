@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -328,6 +329,32 @@ def test_oracle_single_vehicle(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "oracle", str(path))
     assert code == 0
     assert "pure Nash equilibria: 1" in out
+
+
+def test_repeated_calls_leave_no_cycles(capsys):
+    # The parser is built once: each call used to leave about 270 objects in
+    # reference cycles that only the cyclic collector frees.
+    argv = ["oracle", str(SCENARIOS / "two-vehicles.scn")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            assert main(argv) == 0
+        reclaimed = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert reclaimed < 100
+
+
+def test_flags_do_not_leak_into_the_next_call(capsys):
+    scenario = str(ROOT / "tests" / "golden" / "oracle-fig3-n6.scn")  # generate seed 0
+    assert main(["oracle", scenario, "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", scenario]) == 0
+    golden = ROOT / "tests" / "golden" / "oracle_fig3-n6-seed0.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_oracle_cap_exceeded(capsys, two_vehicles):
