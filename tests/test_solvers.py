@@ -386,7 +386,7 @@ MODELS = [ModelParams, custom_params, lone_saving_params]
 @pytest.mark.parametrize("n", [7, 8])
 def test_brute_force_full_head_counts(fig3, n, model):
     # One route and two shared times: the profile with everyone at one time
-    # puts a count of N, the top of its packed field, on every edge.
+    # puts the largest head count, N, on every edge.
     vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(n)]
     inst = Instance(fig3, vehicles, model())
     equilibria = brute_force_nash(inst)
