@@ -289,6 +289,9 @@ def test_is_nash_rejects_nonfinite_tol(fig3, tol):
     )
     assert not is_nash(inst, (0.0, 100.0))
     assert not is_nash(inst, (0.0, 100.0), tol=-1.0)
+    # a vehicle with one action has no deviation to weigh, whatever the tol
+    lone = Instance(fig3, [Vehicle(1, "v9", 3.0, (0.0, 10.0))])
+    assert is_nash(lone, (3.0,), tol=-1.0)
     with pytest.raises(ValueError, match="tol"):
         is_nash(inst, (0.0, 100.0), tol=tol)
 
