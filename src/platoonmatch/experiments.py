@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from math import isfinite
 
@@ -109,11 +108,9 @@ def run_replication(instance: Instance) -> tuple[ReplicationMetrics, Replication
 
 
 def _metrics(instance: Instance, report: solvers.SolveReport) -> ReplicationMetrics:
-    # nonplatooning_fraction would check and group the profile a second time
-    lone = sum(1 for n in Counter(report.final).values() if n == 1)
     return ReplicationMetrics(
         fuel_saving=game.total_fuel_saving(instance, report.final),
-        nonplatooning_fraction=lone / instance.n_vehicles,
+        nonplatooning_fraction=game._lone_share(report.final),
         rounds=report.rounds,
     )
 

@@ -22,6 +22,7 @@ vehicle's utility change.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isfinite
@@ -264,11 +265,14 @@ def _index_of(instance: Instance, vehicle_id: int) -> int:
     return vehicle_id - 1
 
 
-def _check_profile(instance: Instance, profile: Profile) -> None:
+def _check_profile(instance: Instance, profile: Profile) -> list[int]:
+    """Each entry's index ``k`` in its vehicle's actions, so ``_pen[idx][k]`` is
+    its penalty; ValueError for a wrong length or an infeasible entry."""
     if len(profile) != instance.n_vehicles:
         raise ValueError(
             f"profile has {len(profile)} entries for {instance.n_vehicles} vehicles"
         )
+    ks = []
     for idx, (t, acts) in enumerate(zip(profile, instance._actions)):
         try:
             k = bisect_left(acts, t)
@@ -278,6 +282,8 @@ def _check_profile(instance: Instance, profile: Profile) -> None:
             raise ValueError(
                 f"vehicle {idx + 1}: departure time {t!r} is not a feasible action"
             )
+        ks.append(k)
+    return ks
 
 
 def _groups(profile: Profile) -> dict[float, list[int]]:
@@ -287,16 +293,22 @@ def _groups(profile: Profile) -> dict[float, list[int]]:
     return out
 
 
+def _lone_share(profile: Profile) -> float:
+    """Share of the profile's vehicles whose time nobody else picked."""
+    return sum(1 for n in Counter(profile).values() if n == 1) / len(profile)
+
+
 class _PlatoonState:
     """Per-edge head counts of every occupied departure time of one profile.
 
     ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
     uses edge ``e``.  A move touches two count lists in O(|route|), and each
     candidate action of a vehicle is scored from them, in O(|route|) when the
-    time is occupied and in O(1) when it is not: this is the one evaluation
-    path of the solvers and the equilibrium check.  Every
-    route starts on the root's single outgoing edge, so ``counts[t][route[0]]``
-    is the platoon size and a list is dropped once that reaches zero.
+    time is occupied and in O(1) when it is not.  The solvers, the equilibrium
+    check and the reported utilities score vehicles here and nowhere else; the
+    reported sums over whole platoons come from ``_edge_sum``.  Every route
+    starts on the root's single outgoing edge, so ``counts[t][route[0]]`` is
+    the platoon size and a list is dropped once that reaches zero.
     """
 
     def __init__(self, instance: Instance, profile: Profile):
@@ -400,11 +412,10 @@ def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:
 
 def vehicle_utility(instance: Instance, profile: Profile, vehicle_id: int) -> float:
     """Platooning saving along the vehicle's route minus its deviation penalty."""
-    _check_profile(instance, profile)
+    ks = _check_profile(instance, profile)
     idx = _index_of(instance, vehicle_id)
-    t = profile[idx]
-    values = _PlatoonState(instance, profile).selfish_values(idx, t)
-    return values[instance._actions[idx].index(t)]
+    saving = _PlatoonState(instance, profile).route_sum(idx, profile[idx], instance._f)
+    return saving - instance._pen[idx][ks[idx]]
 
 
 def _edge_sum(instance: Instance, groups: dict[float, list[int]], table: Sequence[float]) -> float:
@@ -425,15 +436,6 @@ def _edge_sum(instance: Instance, groups: dict[float, list[int]], table: Sequenc
     return total
 
 
-def _potential(instance: Instance, profile: Profile, groups: dict[float, list[int]]) -> float:
-    total = _edge_sum(instance, groups, instance._r)
-    pen = instance.params.deviation_penalty
-    pref = instance._pref
-    for idx, t in enumerate(profile):
-        total -= pen(t, pref[idx])
-    return total
-
-
 def potential(instance: Instance, profile: Profile) -> float:
     """Exact potential of the profile.
 
@@ -442,18 +444,19 @@ def potential(instance: Instance, profile: Profile) -> float:
     minus every vehicle's deviation penalty.  A unilateral deviation changes
     this by exactly the deviating vehicle's utility change.
     """
-    _check_profile(instance, profile)
-    return _potential(instance, profile, _groups(profile))
+    ks = _check_profile(instance, profile)
+    total = _edge_sum(instance, _groups(profile), instance._r)
+    for pens, k in zip(instance._pen, ks):
+        total -= pens[k]
+    return total
 
 
 def cooperative_utility(instance: Instance, profile: Profile) -> float:
     """Common objective of the cooperative variant: the sum of all utilities."""
-    _check_profile(instance, profile)
-    pen = instance.params.deviation_penalty
-    pref = instance._pref
+    ks = _check_profile(instance, profile)
     penalties = 0.0
-    for idx, t in enumerate(profile):
-        penalties += pen(t, pref[idx])
+    for pens, k in zip(instance._pen, ks):
+        penalties += pens[k]
     return _edge_sum(instance, _groups(profile), instance._g) - penalties
 
 
@@ -466,29 +469,26 @@ def total_fuel_saving(instance: Instance, profile: Profile) -> float:
 def nonplatooning_fraction(instance: Instance, profile: Profile) -> float:
     """Share of vehicles whose chosen time nobody else picked."""
     _check_profile(instance, profile)
-    singles = sum(1 for members in _groups(profile).values() if len(members) == 1)
-    return singles / instance.n_vehicles
+    return _lone_share(profile)
 
 
 def evaluate(instance: Instance, profile: Profile) -> Outcome:
     """Partition, per-vehicle utilities, potential, and summary metrics."""
-    _check_profile(instance, profile)
+    ks = _check_profile(instance, profile)
     groups = _groups(profile)
     state = _PlatoonState(instance, profile)
     f = instance._f
-    pen = instance.params.deviation_penalty
-    pref = instance._pref
     utilities = tuple(
-        state.route_sum(idx, t, f) - pen(t, pref[idx]) for idx, t in enumerate(profile)
+        state.route_sum(idx, t, f) - pens[k]
+        for idx, (t, pens, k) in enumerate(zip(profile, instance._pen, ks))
     )
     partition = tuple(
         (t, tuple(j + 1 for j in members)) for t, members in sorted(groups.items())
     )
-    singles = sum(1 for members in groups.values() if len(members) == 1)
     return Outcome(
         partition=partition,
         utilities=utilities,
-        potential=_potential(instance, profile, groups),
+        potential=potential(instance, profile),
         total_fuel_saving=_edge_sum(instance, groups, instance._g),
-        nonplatooning_fraction=singles / instance.n_vehicles,
+        nonplatooning_fraction=_lone_share(profile),
     )

@@ -170,43 +170,30 @@ def coop_solve(
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
     """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone.
 
-    Each vehicle stops at its first profitable deviation.
+    Each vehicle's actions are all scored by the best-response kernel
+    (``_PlatoonState.selfish_values``), and only its other actions are held
+    against its current value plus ``tol``: a vehicle with one action is
+    stable under any ``tol``, negative ones included.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
-    game._check_profile(instance, profile)
+    ks = game._check_profile(instance, profile)
     state = game._PlatoonState(instance, profile)
-    f = instance._f
-    lengths = instance._lengths
-    counts = state.counts
-    for idx, cur in enumerate(profile):
-        actions = instance._actions[idx]
-        pens = instance._pen[idx]
-        route = instance._routes[idx]
-        alone = instance._alone[idx]
-        bar = state.route_sum(idx, cur, f) - pens[actions.index(cur)] + tol
-        for a, p in zip(actions, pens):
-            if a == cur:
-                continue
-            c = counts.get(a)
-            if c is None:
-                value = alone - p
-            else:
-                value = 0.0
-                for e in route:
-                    value += f[c[e] + 1] * lengths[e]
-                value -= p
-            if value > bar:
-                return False
+    for idx, k in enumerate(ks):
+        values = state.selfish_values(idx, profile[idx])
+        bar = values[k] + tol
+        if any(v > bar for j, v in enumerate(values) if j != k):
+            return False
     return True
 
 
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
     """All pure Nash equilibria, by checking every profile of the space at once.
 
-    Raises ValueError when the profile space exceeds ``cap``, or when more
-    than 64 vehicles (numpy's limit on array axes) have a choice.  Never
-    empty: a finite exact potential game always has a pure NE.
+    Raises ValueError when the profile space exceeds ``cap``, when more
+    than 64 vehicles (numpy's limit on array axes) have a choice, or when
+    its arrays do not fit in memory.  Never empty: a finite exact potential
+    game always has a pure NE.
 
     Each vehicle with more than one action gets one numpy axis, holding the
     slot in ``_all_times`` of each of its actions, so the axes together span
@@ -246,28 +233,34 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     f = np.array(instance._f)
     saving = [f * d for d in instance._lengths]
     count = np.min_scalar_type(instance.n_vehicles)
-    stable = np.ones([len(actions[idx]) for idx in movers], dtype=bool)
-    for axis, idx in enumerate(movers):
-        own = grid[idx]
-        route = instance._routes[idx]
-        # The users of an edge include those of every deeper edge of the route,
-        # so the head counts are summed from the deepest edge up.
-        heads = np.zeros(own.shape, count)
-        counted: set[int] = set()
-        walk = []
-        for e in reversed(route):
-            for j in users[e]:
-                if j not in counted:
-                    counted.add(j)
-                    heads = heads + (grid[j] == own)
-            walk.append((e, heads))
-        u = np.zeros(stable.shape)
-        for e, heads in reversed(walk):
-            u += saving[e][heads]
-        u -= np.reshape(instance._pen[idx], own.shape)
-        best = u.max(axis=axis, keepdims=True)
-        u += GAIN_EPS
-        stable &= best <= u
+    try:
+        stable = np.ones([len(actions[idx]) for idx in movers], dtype=bool)
+        for axis, idx in enumerate(movers):
+            own = grid[idx]
+            route = instance._routes[idx]
+            # The users of an edge include those of every deeper edge of the route,
+            # so the head counts are summed from the deepest edge up.
+            heads = np.zeros(own.shape, count)
+            counted: set[int] = set()
+            walk = []
+            for e in reversed(route):
+                for j in users[e]:
+                    if j not in counted:
+                        counted.add(j)
+                        heads = heads + (grid[j] == own)
+                walk.append((e, heads))
+            u = np.zeros(stable.shape)
+            for e, heads in reversed(walk):
+                u += saving[e][heads]
+            u -= np.reshape(instance._pen[idx], own.shape)
+            best = u.max(axis=axis, keepdims=True)
+            u += GAIN_EPS
+            stable &= best <= u
+    except MemoryError:  # numpy's own error would end the CLI in a traceback
+        raise ValueError(
+            f"profile space holds {size} profiles, within the cap {cap} but too "
+            "many to check as arrays in this memory; lower the cap"
+        ) from None
     profile = [acts[0] for acts in actions]
     out: set[tuple[float, ...]] = set()
     for ks in np.argwhere(stable).tolist():

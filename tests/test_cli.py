@@ -331,6 +331,17 @@ def test_oracle_single_vehicle(capsys, tmp_path):
     assert "pure Nash equilibria: 1" in out
 
 
+def test_oracle_space_too_large_to_allocate_is_an_error(capsys, tmp_path):
+    # 2^60 profiles under the raised cap: their arrays exceed any address space.
+    path = tmp_path / "sixty.scn"
+    path.write_text("network preset paper-fig3\n" + "".join(
+        f"vehicle v9 {100 * (i % 2)} -500 600\n" for i in range(60)
+    ))
+    code, _, err = run_cli(capsys, "oracle", str(path), "--cap", str(2 * 10**18))
+    assert code == 1
+    assert re.search(rf"^error: profile space holds {2**60} profiles, within the cap", err, re.M)
+
+
 def test_repeated_calls_leave_no_cycles(capsys):
     # The parser is built once: each call used to leave about 270 objects in
     # reference cycles that only the cyclic collector frees.

@@ -288,6 +288,30 @@ def test_evaluate_matches_pieces(pair):
         assert out.nonplatooning_fraction == nonplatooning_fraction(pair, s)
 
 
+def test_reported_numbers_read_penalties_from_instance(fig3):
+    # Instance calls the penalty once per action to check it; every reported
+    # number then reads that row instead of calling it again.
+    calls = []
+
+    def penalty(chosen, pref):
+        calls.append((chosen, pref))
+        return 0.01 * abs(chosen - pref)
+
+    inst = Instance(
+        fig3,
+        [Vehicle(1, "v4", 0.0, (-500.0, 500.0)), Vehicle(2, "v5", 100.0, (-400.0, 600.0))],
+        ModelParams(penalty=penalty),
+    )
+    assert len(calls) == 4
+    calls.clear()
+    for s in [(0.0, 0.0), (0.0, 100.0), (100.0, 100.0)]:
+        potential(inst, s)
+        cooperative_utility(inst, s)
+        evaluate(inst, s)
+        vehicle_utility(inst, s, 2)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

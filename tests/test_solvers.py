@@ -341,6 +341,15 @@ def test_brute_force_rejects_more_axes_than_numpy_has(fig3):
     assert peak < 64 * 1024
 
 
+def test_brute_force_names_a_space_too_large_to_allocate(fig3):
+    # 2^60 profiles fit a raised cap and 64 axes, but their arrays (an EiB of
+    # bools) exceed any address space, so the allocation fails at once.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(60)]
+    inst = Instance(fig3, vehicles)
+    with pytest.raises(ValueError, match=rf"holds {2**60} profiles, within the cap {2**61}"):
+        brute_force_nash(inst, cap=2**61)
+
+
 def test_brute_force_agrees_with_solver_and_potential_argmax():
     rng = np.random.default_rng(24)
     checked = 0
