@@ -5,8 +5,9 @@ full-recompute evaluation code that preceded the incremental platoon-state
 kernel, the ``oracle_*.txt`` files by the enumeration that followed the
 profiles with that kernel's state.  Any change to solver decisions, round
 counts, the equilibrium set or the summation order of the reported numbers
-shows up here as a byte difference.  Two hash pins extend this to a
-generated N=200 solve and to a few thousand random profiles.
+shows up here as a byte difference.  Three hash pins extend this to a
+generated N=200 solve, to a few thousand random profiles and to the
+equilibrium sets of a few hundred random instances.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 from platoonmatch import (
     Instance,
+    ModelParams,
     RoadNetwork,
     ScenarioConfig,
     Vehicle,
@@ -134,6 +136,28 @@ def test_reported_numbers_match_pinned_hash():
                 put(*(vehicle_utility(inst, s, v.id) for v in inst.vehicles))
                 put(*(is_nash(inst, s, tol) for tol in NASH_TOLS))
     assert h.hexdigest() == "7b06fedee3b9052172411464e884b27cbb1c0fe3e642c5b4da085759921de9ad"
+
+
+def test_oracle_random_instances_match_pinned_hash():
+    """The equilibrium sets of 306 random instances, bit for bit.
+
+    34 draws under each pair of model (default, custom, no platoon saving)
+    and window half-width cap (1000, 300, 60 s); a draw whose space holds
+    more than 20,000 profiles is skipped (38 of them).  Each equilibrium enters the hash
+    as one line of ``float.hex`` departure times, sorted per instance.
+    """
+    rng = np.random.default_rng(2026)
+    h = hashlib.sha256()
+    for _ in range(34):
+        for params in (None, custom_params(), ModelParams(k_p=0.0)):
+            for cap in (1000.0, 300.0, 60.0):
+                inst = random_instance(rng, params=params, max_halfwidth=cap)
+                if np.prod([len(a) for a in inst._actions]) > 20_000:
+                    h.update(b"skipped\n")
+                    continue
+                lines = sorted(" ".join(t.hex() for t in s) for s in brute_force_nash(inst))
+                h.update(("\n".join(lines) + "\n--\n").encode())
+    assert h.hexdigest() == "4f7e7b63730c33177ca71d8c756f5805fbc80286fb77aabf2aa29d1502fdfc04"
 
 
 ORACLE_INPUTS = [
