@@ -142,9 +142,9 @@ def test_oracle_random_instances_match_pinned_hash():
     """The equilibrium sets of 306 random instances, bit for bit.
 
     34 draws under each pair of model (default, custom, no platoon saving)
-    and window half-width cap (1000, 300, 60 s); a draw whose space holds
-    more than 20,000 profiles is skipped (38 of them).  Each equilibrium enters the hash
-    as one line of ``float.hex`` departure times, sorted per instance.
+    and window half-width cap (1000, 300, 60 s); the 38 draws whose spaces
+    hold more than 20,000 profiles are skipped.  Each equilibrium enters the
+    hash as one line of ``float.hex`` departure times, sorted per instance.
     """
     rng = np.random.default_rng(2026)
     h = hashlib.sha256()
