@@ -427,7 +427,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--cap", type=int, default=1_000_000,
                           help="maximum profile-space size to enumerate; it also bounds "
-                               "memory, at roughly 20-30 bytes per profile")
+                               "memory, at up to about 24 bytes per profile")
     p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

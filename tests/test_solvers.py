@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from _reference import (
     ref_sweep_solve,
     ref_utility,
 )
+from test_golden import LARGE_ORACLE_INPUTS
 
 
 @pytest.fixture(scope="module")
@@ -426,3 +428,85 @@ def test_brute_force_many_one_action_vehicles(fig3):
     equilibria = brute_force_nash(inst)
     assert equilibria == ref_brute_force_nash(inst)
     assert len(equilibria) == 2
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
+def test_brute_force_many_one_action_vehicles_at_one_time(fig3, model):
+    # 40 vehicles that cannot deviate share time 0 with both movers' windows: a
+    # table with one axis per vehicle at that time would need 2^40 entries.
+    vehicles = [Vehicle(i + 1, "v9", 0.0, (0.0, 0.0)) for i in range(40)]
+    vehicles += [
+        Vehicle(41, "v4", 0.0, (0.0, 10.0)),
+        Vehicle(42, "v12", 10.0, (0.0, 10.0)),
+    ]
+    inst = Instance(fig3, vehicles, model())
+    assert brute_force_nash(inst) == ref_brute_force_nash(inst)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
+def test_brute_force_mover_without_mates(fig3, model):
+    # Vehicle 1 shares no time with the other mover, so only its own actions
+    # and the one-action vehicle at time 10 decide its utility.
+    vehicles = [
+        Vehicle(1, "v5", 0.0, (0.0, 10.0)),
+        Vehicle(2, "v4", 10.0, (10.0, 10.0)),
+        Vehicle(3, "v9", 100.0, (100.0, 110.0)),
+        Vehicle(4, "v12", 110.0, (110.0, 110.0)),
+        Vehicle(5, "v13", 100.0, (100.0, 110.0)),
+    ]
+    inst = Instance(fig3, vehicles, model())
+    assert brute_force_nash(inst) == ref_brute_force_nash(inst)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
+def test_brute_force_mates_at_every_depth(fig3, model):
+    # The route to v12 has 5 edges; v2, v6, v8, v10/v13 and v12 end after 1..5
+    # of them, so the v12 vehicles see mates at every depth, two at some.
+    dests = ["v12", "v2", "v6", "v8", "v10", "v13", "v12", "v8"]
+    vehicles = [
+        Vehicle(i + 1, d, 100.0 * (i % 3), (-500.0, 600.0)) for i, d in enumerate(dests)
+    ]
+    vehicles.append(Vehicle(9, "v10", 100.0, (100.0, 100.0)))
+    inst = Instance(fig3, vehicles, model())
+    assert [len(a) for a in inst._actions] == [3] * 8 + [1]
+    assert brute_force_nash(inst) == ref_brute_force_nash(inst)
+
+
+@pytest.mark.parametrize("name", LARGE_ORACLE_INPUTS)
+def test_brute_force_memory_per_profile(name):
+    # The cap bounds memory only while the arrays stay linear in the space.
+    inst = LARGE_ORACLE_INPUTS[name]()
+    size = math.prod(len(a) for a in inst._actions)
+    tracemalloc.start()
+    try:
+        brute_force_nash(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * size
+
+
+@pytest.mark.parametrize("penalty, equilibria", [
+    (5.099999999998998, {(0.0, 0.0)}),
+    (5.0999999999995, {(0.0, 0.0), (100.0, 0.0)}),
+])
+def test_brute_force_breaks_near_ties_as_is_nash(penalty, equilibria):
+    # Vehicle 1 leaves its preferred time 100 to platoon with vehicle 2 over
+    # two of its four edges.  Its route-order saving sums (17.900000000000002
+    # and 12.799999999999999) differ from the reverse order's in the last bit,
+    # and the penalty puts joining's gain one ulp above GAIN_EPS, then at half
+    # of it: only the kernel's summation order and tolerance give these sets.
+    nodes = [f"p{i}" for i in range(5)]
+    lengths = [1700.0, 1700.0, 1700.0, 1300.0]
+    network = pm.RoadNetwork(nodes, list(zip(nodes, nodes[1:], lengths)), "p0")
+    params = ModelParams(
+        saving=lambda n: 0.002 + 0.003 * (n - 1) / n,
+        penalty=lambda chosen, pref: 0.0 if chosen == pref else penalty,
+        f_max=0.005,
+    )
+    inst = Instance(network, [
+        Vehicle(1, "p4", 100.0, (0.0, 100.0)),
+        Vehicle(2, "p2", 0.0, (0.0, 0.0)),
+    ], params)
+    assert {s for s in itertools.product(*inst._actions) if is_nash(inst, s)} == equilibria
+    assert brute_force_nash(inst) == ref_brute_force_nash(inst) == equilibria
