@@ -253,8 +253,8 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             mates = [j for j in movers if j != idx and not at.keys().isdisjoint(actions[j])]
             at_depth = Counter(depth[j] for j in mates)
             deep = sorted(at_depth)
-            lead = [1] * len(deep)
-            fixed = np.zeros((len(route) + 1, width, *lead), count)
+            ones = [1] * len(deep)
+            fixed = np.zeros((len(route) + 1, width, *ones), count)
             for j, d in enumerate(depth):
                 if len(actions[j]) == 1 and actions[j][0] in at:
                     fixed[d, at[actions[j][0]]] += 1
@@ -264,14 +264,14 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             for d in range(len(route), 0, -1):
                 heads = heads + fixed[d]
                 if d in at_depth:
-                    shape = [1, *lead]
+                    shape = [1, *ones]
                     shape[1 + deep.index(d)] = -1
                     heads = heads + np.arange(at_depth[d] + 1, dtype=count).reshape(shape)
                 walk.append(heads)
             table = np.zeros([width] + [at_depth[d] + 1 for d in deep])
             for e, h in zip(route, reversed(walk)):
                 table += saving[e][h]
-            table -= np.reshape(instance._pen[idx], [-1, *lead])
+            table -= np.reshape(instance._pen[idx], [-1, *ones])
             # The codes get the vehicle's own action as a leading axis, and the
             # mates' axes are added last to first, so numpy's loops run long.
             code_type = np.min_scalar_type(table.size)

@@ -7,10 +7,14 @@ profiles with that kernel's state.  Any change to solver decisions, round
 counts, the equilibrium set or the summation order of the reported numbers
 shows up here as a byte difference.  Three hash pins extend this to a
 generated N=200 solve, to a few thousand random profiles and to the
-equilibrium sets of a few hundred random instances.
+equilibrium sets of a few hundred random instances.  The last test holds
+the oracle's memory on its three large pinned spaces to 40 bytes per
+profile.
 """
 
 import hashlib
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -220,3 +224,17 @@ def test_oracle_large_spaces_match_golden(name):
     equilibria = brute_force_nash(LARGE_ORACLE_INPUTS[name]())
     golden = GOLDEN / f"oracle_large_{name}.txt"
     assert _profile_lines(equilibria) == golden.read_text()
+
+
+@pytest.mark.parametrize("name", LARGE_ORACLE_INPUTS)
+def test_oracle_large_spaces_memory_per_profile(name):
+    # The cap bounds memory only while the arrays stay linear in the space.
+    inst = LARGE_ORACLE_INPUTS[name]()
+    size = math.prod(len(a) for a in inst._actions)
+    tracemalloc.start()
+    try:
+        brute_force_nash(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * size

