@@ -443,7 +443,7 @@ def test_brute_force_many_one_action_vehicles_at_one_time(fig3, model):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
 def test_brute_force_mover_without_mates(fig3, model):
-    # Vehicle 1 shares no time with the other mover, so only its own actions
+    # Vehicle 1 shares no time with the other movers, so only its own actions
     # and the one-action vehicle at time 10 decide its utility.
     vehicles = [
         Vehicle(1, "v5", 0.0, (0.0, 10.0)),
@@ -478,8 +478,8 @@ def test_brute_force_breaks_near_ties_as_is_nash(penalty, equilibria):
     # Vehicle 1 leaves its preferred time 100 to platoon with vehicle 2 over
     # two of its four edges.  Its route-order saving sums (17.900000000000002
     # and 12.799999999999999) differ from the reverse order's in the last bit,
-    # and the penalty puts joining's gain one ulp above GAIN_EPS, then at half
-    # of it: only the kernel's summation order and tolerance give these sets.
+    # and the penalty puts joining's gain a few ulps above GAIN_EPS, then at
+    # half of it: only the kernel's summation order and tolerance give these sets.
     nodes = [f"p{i}" for i in range(5)]
     lengths = [1700.0, 1700.0, 1700.0, 1300.0]
     network = pm.RoadNetwork(nodes, list(zip(nodes, nodes[1:], lengths)), "p0")
