@@ -4,7 +4,6 @@ Scenario files are flat text, one directive per line, ``#`` comments::
 
     network preset paper-fig3     # or explicit: root first, then edges
     network root v1
-    network node v9               # optional; edge endpoints are implied
     network edge v1 v2 80000
     param k_p 5e-05
     param k_t 0.015
@@ -73,7 +72,6 @@ class _Parser:
     def __init__(self):
         self.preset = None
         self.root = None
-        self.nodes: list[str] = []
         self.edges: list[tuple[str, str, float]] = []
         self.params: dict[str, float] = {}
         self.vehicles: list[Vehicle] = []
@@ -112,7 +110,7 @@ class _Parser:
                 self.fail(lineno, "usage: network preset <name>")
             if self.preset is not None:
                 self.fail(lineno, "preset already declared")
-            if self.root is not None or self.edges or self.nodes:
+            if self.root is not None or self.edges:
                 self.fail(lineno, "a preset cannot be combined with explicit network lines")
             if rest[1] not in PRESETS:
                 known = ", ".join(sorted(PRESETS))
@@ -128,12 +126,6 @@ class _Parser:
             if self.edges:
                 self.fail(lineno, "the root must be declared before any edge")
             self.root = rest[1]
-        elif kind == "node":
-            if len(rest) != 2:
-                self.fail(lineno, "usage: network node <node>")
-            if self.preset is not None:
-                self.fail(lineno, "explicit nodes cannot be combined with a preset")
-            self.nodes.append(rest[1])
         elif kind == "edge":
             if len(rest) != 4:
                 self.fail(lineno, "usage: network edge <tail> <head> <length_m>")
@@ -198,8 +190,7 @@ class _Parser:
         if self.preset is not None:
             network = PRESETS[self.preset]()
         elif self.edges:
-            nodes = {self.root, *self.nodes, *(n for t, h, _ in self.edges for n in (t, h))}
-            network = RoadNetwork(nodes, self.edges, self.root)
+            network = RoadNetwork(self.edges, self.root)
         else:
             raise ScenarioError("scenario has no network section (preset or root+edges)")
         params = ModelParams(**self.params)

@@ -19,8 +19,8 @@ class InputError(ValueError):
 
     ``subject`` names the rejected input: an ``(tail, head)`` edge, a
     vehicle id, a field name, or ``None`` for a property of the whole
-    network (a cycle, an unreachable node).  Scenario files map it back to
-    the line that declared it.
+    network (a cycle, a root without an outgoing edge).  Scenario files map
+    it back to the line that declared it.
     """
 
     def __init__(self, subject, message: str):
@@ -32,30 +32,26 @@ class RoadNetwork:
     """A directed tree of road segments rooted at the common origin.
 
     Node ids are opaque strings.  Edges are ``(tail, head, length_meters)``
-    triples and are identified by their ``(tail, head)`` pair.  The root
-    has no incoming edge and exactly one outgoing edge; every other node
-    has exactly one incoming edge.  Construction validates all of this and
-    precomputes the route to every node: ``routes[node]`` holds the
-    positions into ``edges`` of the route from the root, in travel order.
+    triples and are identified by their ``(tail, head)`` pair; the nodes
+    are the root and every edge endpoint.  The root has no incoming edge
+    and exactly one outgoing edge; every other node has exactly one
+    incoming edge.  Construction validates all of this and precomputes the
+    route to every node: ``routes[node]`` holds the positions into
+    ``edges`` of the route from the root, in travel order.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[str],
-        edges: Iterable[tuple[str, str, float]],
-        root: str,
-    ):
-        self.nodes: frozenset[str] = frozenset(str(n) for n in nodes)
+    def __init__(self, edges: Iterable[tuple[str, str, float]], root: str):
         self.edges: tuple[tuple[str, str, float], ...] = tuple(
             (str(t), str(h), float(d)) for t, h, d in edges
         )
         self.root: str = str(root)
+        self.nodes: frozenset[str] = frozenset(
+            (self.root, *(n for t, h, _ in self.edges for n in (t, h)))
+        )
         self.edge_lengths: tuple[float, ...] = tuple(d for _, _, d in self.edges)
         self.routes: dict[str, tuple[int, ...]] = self._validate()
 
     def _validate(self) -> dict[str, tuple[int, ...]]:
-        if self.root not in self.nodes:
-            raise InputError(None, f"root {self.root!r} is not among the nodes")
         # Duplicates go first: every later per-edge error then names an edge
         # that occurs once, so its subject identifies a single declaration.
         seen: set[tuple[str, str]] = set()
@@ -67,8 +63,6 @@ class RoadNetwork:
         root_out: tuple[str, str] | None = None
         for k, (tail, head, length) in enumerate(self.edges):
             edge = (tail, head)
-            if tail not in self.nodes or head not in self.nodes:
-                raise InputError(edge, f"edge {tail}->{head} references an unknown node")
             if not (math.isfinite(length) and length > 0):
                 raise InputError(
                     edge,
@@ -97,18 +91,21 @@ class RoadNetwork:
             raise InputError(
                 None, f"root {self.root} must have exactly one outgoing edge, found none"
             )
-        for node in self.nodes:
-            if node != self.root and node not in in_edge:
+        # Every node but the root is an edge endpoint, so a node without a
+        # parent is the tail of some edge: the first such edge is reported.
+        for tail, head, _ in self.edges:
+            if tail != self.root and tail not in in_edge:
                 raise InputError(
-                    None, f"node {node} is unreachable from the root (no incoming edge)"
+                    (tail, head),
+                    f"node {tail} of edge {tail}->{head} is unreachable from the root "
+                    "(no incoming edge)",
                 )
         # Each non-root node has one parent, so any walk that fails to reach
         # the root must loop.  The walk that rules this out also records the
-        # node's route.
+        # node's route; heads go in declaration order, so every process
+        # reports the same node.
         routes: dict[str, tuple[int, ...]] = {}
-        for node in self.nodes:
-            if node == self.root:
-                continue
+        for _, node, _ in self.edges:
             visited: set[str] = set()
             chain: list[int] = []
             cur = node
@@ -126,11 +123,7 @@ class RoadNetwork:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoadNetwork):
             return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.root == other.root
-        )
+        return self.edges == other.edges and self.root == other.root
 
     __hash__ = None  # mutable-by-convention container semantics
 
@@ -160,8 +153,7 @@ PAPER_FIG3_EDGES: tuple[tuple[str, str, float], ...] = (
 
 def paper_fig3() -> RoadNetwork:
     """Build the benchmark network shipped under the preset name ``paper-fig3``."""
-    nodes = {t for t, _, _ in PAPER_FIG3_EDGES} | {h for _, h, _ in PAPER_FIG3_EDGES}
-    return RoadNetwork(nodes, PAPER_FIG3_EDGES, "v1")
+    return RoadNetwork(PAPER_FIG3_EDGES, "v1")
 
 
 PRESETS = {"paper-fig3": paper_fig3}

@@ -72,10 +72,7 @@ def _pick(actions: tuple[float, ...], values: list[float], current: float) -> fl
     vmax = max(values)
     if values[actions.index(current)] >= vmax - GAIN_EPS:
         return current
-    for a, v in zip(actions, values):
-        if v == vmax:
-            return a
-    raise AssertionError("unreachable: max not found among candidates")
+    return actions[values.index(vmax)]
 
 
 def best_response(
@@ -98,14 +95,10 @@ def best_response(
 
 
 def _sweep_solve(
-    instance: Instance,
-    objective: str,
-    max_sweeps: int | None,
-    start: tuple[float, ...] | None = None,
+    instance: Instance, objective: str, start: tuple[float, ...] | None = None
 ) -> SolveReport:
     n = instance.n_vehicles
-    if max_sweeps is None:
-        max_sweeps = 10 * n * len(instance._all_times)
+    max_sweeps = 10 * n * len(instance._all_times)
     s = list(instance._pref if start is None else start)
     state = game._PlatoonState(instance, s)
     values = _values(state, objective)
@@ -138,19 +131,15 @@ def _sweep_solve(
     return SolveReport(tuple(s), history, rounds, instance, objective)
 
 
-def brd_solve(instance: Instance, max_sweeps: int | None = None) -> SolveReport:
+def brd_solve(instance: Instance) -> SolveReport:
     """Sweep best responses from the preferred-time profile to a pure NE.
 
-    The default sweep cap is ``10 * N * |distinct preferred times|``.
+    The sweep cap is ``10 * N * |distinct preferred times|``.
     """
-    return _sweep_solve(instance, "self", max_sweeps)
+    return _sweep_solve(instance, "self")
 
 
-def coop_solve(
-    instance: Instance,
-    max_sweeps: int | None = None,
-    start: Profile | None = None,
-) -> SolveReport:
+def coop_solve(instance: Instance, start: Profile | None = None) -> SolveReport:
     """Cooperative refinement: coordinate ascent on the common utility.
 
     Runs the same ascending-id sweeps as brd_solve but each vehicle moves to
@@ -165,7 +154,7 @@ def coop_solve(
         start = brd_solve(instance).final
     else:
         game._check_profile(instance, start)
-    return _sweep_solve(instance, "cooperative", max_sweeps, start=tuple(start))
+    return _sweep_solve(instance, "cooperative", start=tuple(start))
 
 
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
@@ -193,8 +182,8 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
 
     Raises ValueError when the profile space exceeds ``cap``, when more
     than 64 vehicles (numpy's limit on array axes) have a choice, or when
-    its arrays do not fit in memory.  Never empty: a finite exact potential
-    game always has a pure NE.
+    its arrays do not fit in memory or in numpy's index range.  Never empty:
+    a finite exact potential game always has a pure NE.
 
     Each vehicle with more than one action gets one numpy axis, holding the
     slot in ``_all_times`` of each of its actions, so the axes together span
@@ -226,6 +215,12 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             f"profile space holds {size} profiles over {len(movers)} vehicles with a "
             f"choice; at most {_MAX_AXES} can be checked as array axes"
         )
+    too_many = (
+        f"profile space holds {size} profiles, within the cap {cap} but too "
+        "many to check as arrays in this memory; lower the cap"
+    )
+    if size > np.iinfo(np.intp).max:  # numpy refuses such shapes with its own error
+        raise ValueError(too_many)
     slot = {t: k for k, t in enumerate(instance._all_times)}
     grid: dict[int, np.ndarray] = {}
     for axis, idx in enumerate(movers):
@@ -287,10 +282,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
                 stable[(slice(None),) * axis + (slice(k, k + 1),)] &= best <= u[k] + GAIN_EPS
             del u, best
     except MemoryError:  # numpy's own error would end the CLI in a traceback
-        raise ValueError(
-            f"profile space holds {size} profiles, within the cap {cap} but too "
-            "many to check as arrays in this memory; lower the cap"
-        ) from None
+        raise ValueError(too_many) from None
     profile = [acts[0] for acts in actions]
     out: set[tuple[float, ...]] = set()
     for ks in np.argwhere(stable).tolist():

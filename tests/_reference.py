@@ -87,9 +87,8 @@ def random_instance(
     Window half-widths are drawn from ``[50, max_halfwidth]`` seconds.
     """
     edges = random_tree_edges(rng, max_nodes)
-    nodes = {t for t, _, _ in edges} | {h for _, h, _ in edges}
-    net = RoadNetwork(nodes, edges, "v1")
-    pool = sorted(nodes - {"v1"})
+    net = RoadNetwork(edges, "v1")
+    pool = sorted(net.nodes - {"v1"})
     n = int(rng.integers(1, max_vehicles + 1))
     alpha = float(rng.uniform(0.0, alpha_hi))
     h = float(rng.uniform(50.0, max_halfwidth))

@@ -188,6 +188,10 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pa
         # a fault of the whole network falls back to the first network line
         ("# comment\n" + NET + "network edge v3 v4 5\nnetwork edge v4 v3 5\n", (),
          r"line 2: edges form a cycle"),
+        # a node without a parent is reported at the first edge leaving it
+        (NET + "network edge v2 v3 5\nnetwork edge v7 v8 10\nvehicle v3 0 -10 10\n", (),
+         r"line 4: node v7 of edge v7->v8 is unreachable"),
+        (NET + "network node v9\n", (), r"line 3: unknown network directive 'node'"),
         (GEN + "generate alpha 100\ngenerate pool v2 v99\n", (),
          r"line 4: destination pool references unknown node 'v99'"),
         # a command-line seed has no line in the file
@@ -195,7 +199,8 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pa
          r"seed must be a nonnegative integer, got -1"),
         (None, ("sweep", "--alphas", "0:inf:150"), r"alpha range bounds must be finite"),
     ],
-    ids=["duplicate-edge", "edge-into-root", "cycle", "pool", "seed-override", "sweep-range-inf"],
+    ids=["duplicate-edge", "edge-into-root", "cycle", "unreachable-edge", "node-directive",
+         "pool", "seed-override", "sweep-range-inf"],
 )
 def test_rejection_anchors(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)

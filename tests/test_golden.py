@@ -199,7 +199,7 @@ def _nested_path_n18():
     # tell which vehicles share it: 2^18 profiles.
     nodes = [f"p{i}" for i in range(19)]
     edges = [(a, b, 1000.0 * (i + 1)) for i, (a, b) in enumerate(zip(nodes, nodes[1:]))]
-    return _two_times(RoadNetwork(nodes, edges, "p0"), nodes[1:])
+    return _two_times(RoadNetwork(edges, "p0"), nodes[1:])
 
 
 def _fig3_n18():

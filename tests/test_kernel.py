@@ -109,9 +109,7 @@ def test_properties_hold_across_parameter_scales(seed, kp_scale, kt_scale, lengt
     rng = np.random.default_rng(seed)
     base = random_instance(rng, max_nodes=8, max_vehicles=6)
     net = base.network
-    scaled = RoadNetwork(
-        net.nodes, [(t, h, d * length_scale) for t, h, d in net.edges], net.root
-    )
+    scaled = RoadNetwork([(t, h, d * length_scale) for t, h, d in net.edges], net.root)
     params = ModelParams(k_p=5e-5 * kp_scale, k_t=1.5e-2 * kt_scale)
     inst = Instance(scaled, base.vehicles, params)
 

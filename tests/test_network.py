@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +10,8 @@ from platoonmatch import PAPER_FIG3_EDGES, RoadNetwork, paper_fig3
 from _reference import ref_path, random_tree_edges
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -19,70 +26,75 @@ def test_fig3_preset_shape(fig3):
 
 
 def test_single_edge_network_is_valid():
-    net = RoadNetwork({"v1", "v2"}, [("v1", "v2", 100.0)], "v1")
+    net = RoadNetwork([("v1", "v2", 100.0)], "v1")
+    assert net.nodes == {"v1", "v2"}
     assert net.routes == {"v2": (0,)}
 
 
 def test_root_out_degree_two_rejected():
     with pytest.raises(ValueError, match="exactly one outgoing edge"):
-        RoadNetwork(
-            {"v1", "v2", "v3"},
-            [("v1", "v2", 10.0), ("v1", "v3", 10.0)],
-            "v1",
-        )
+        RoadNetwork([("v1", "v2", 10.0), ("v1", "v3", 10.0)], "v1")
 
 
 def test_root_incoming_edge_rejected():
     with pytest.raises(ValueError, match="no incoming edge"):
-        RoadNetwork(
-            {"v1", "v2", "v3"},
-            [("v1", "v2", 10.0), ("v2", "v3", 10.0), ("v3", "v1", 10.0)],
-            "v1",
-        )
+        RoadNetwork([("v1", "v2", 10.0), ("v2", "v3", 10.0), ("v3", "v1", 10.0)], "v1")
 
 
 def test_multiple_parents_rejected():
     with pytest.raises(ValueError, match="more than one incoming edge"):
         RoadNetwork(
-            {"v1", "v2", "v3", "v4"},
             [("v1", "v2", 10.0), ("v2", "v3", 10.0), ("v2", "v4", 10.0), ("v3", "v4", 10.0)],
             "v1",
         )
 
 
+CYCLE = [("v1", "v2", 10.0), ("v3", "v4", 10.0), ("v4", "v5", 10.0), ("v5", "v3", 10.0)]
+# v7 and v9 both lack a parent; the first edge leaving one of them is reported
+ORPHANS = [("v1", "v2", 10.0), ("v7", "v8", 10.0), ("v9", "v10", 10.0)]
+
+
 def test_cycle_rejected():
-    with pytest.raises(ValueError, match="cycle"):
-        RoadNetwork(
-            {"v1", "v2", "v3", "v4", "v5"},
-            [
-                ("v1", "v2", 10.0),
-                ("v3", "v4", 10.0),
-                ("v4", "v5", 10.0),
-                ("v5", "v3", 10.0),
-            ],
-            "v1",
-        )
+    with pytest.raises(ValueError, match="cycle through node v4$"):
+        RoadNetwork(CYCLE, "v1")
 
 
 @pytest.mark.parametrize("length", [0.0, -5.0, float("inf"), float("nan")])
 def test_bad_length_rejected(length):
     with pytest.raises(ValueError, match="positive finite length"):
-        RoadNetwork({"v1", "v2"}, [("v1", "v2", length)], "v1")
-
-
-def test_unknown_endpoint_rejected():
-    with pytest.raises(ValueError, match="unknown node"):
-        RoadNetwork({"v1", "v2"}, [("v1", "v9", 10.0)], "v1")
+        RoadNetwork([("v1", "v2", length)], "v1")
 
 
 def test_isolated_node_rejected():
-    with pytest.raises(ValueError, match="unreachable"):
-        RoadNetwork({"v1", "v2", "v3"}, [("v1", "v2", 10.0)], "v1")
+    with pytest.raises(ValueError, match="node v7 of edge v7->v8 is unreachable") as info:
+        RoadNetwork(ORPHANS, "v1")
+    assert info.value.subject == ("v7", "v8")
+
+
+@pytest.mark.parametrize("edges", [CYCLE, ORPHANS], ids=["cycle", "unreachable"])
+def test_errors_do_not_depend_on_the_hash_seed(edges):
+    code = (
+        "from platoonmatch import RoadNetwork\n"
+        "try:\n"
+        f"    RoadNetwork({edges!r}, 'v1')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    messages = set()
+    for seed in range(5):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout)
+    assert len(messages) == 1
+    assert messages.pop().strip()
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(ValueError, match="duplicate edge"):
-        RoadNetwork({"v1", "v2"}, [("v1", "v2", 10.0), ("v1", "v2", 20.0)], "v1")
+        RoadNetwork([("v1", "v2", 10.0), ("v1", "v2", 20.0)], "v1")
 
 
 def route_pairs(net, node):
@@ -132,8 +144,9 @@ def test_route_is_connected_and_acyclic(fig3):
 @given(st.integers(0, 2**32 - 1))
 def test_routes_match_parent_walk_on_random_trees(seed):
     edges = random_tree_edges(np.random.default_rng(seed), max_nodes=12)
+    net = RoadNetwork(edges, "v1")
     nodes = {t for t, _, _ in edges} | {h for _, h, _ in edges}
-    net = RoadNetwork(nodes, edges, "v1")
+    assert net.nodes == nodes
     assert set(net.routes) == nodes - {"v1"}
     for node in nodes - {"v1"}:
         assert route_pairs(net, node) == ref_path(edges, "v1", node)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import platoonmatch as pm
-from platoonmatch import game
+from platoonmatch import game, solvers
 from platoonmatch import (
     ConvergenceError,
     Instance,
@@ -194,10 +194,15 @@ def test_confirming_sweep_stops_after_last_mover(fig3, monkeypatch):
         assert (report.final, report.rounds, report.history) == (final, rounds, history)
 
 
-def test_brd_cap_raises(fig3):
+def test_brd_cap_raises(fig3, monkeypatch):
+    # a pick that always moves never settles, so the sweeps run into the cap
     inst = same_dest_pair(fig3)
-    with pytest.raises(ConvergenceError, match="sweeps"):
-        brd_solve(inst, max_sweeps=0)
+    cap = 10 * inst.n_vehicles * len(inst._all_times)
+    monkeypatch.setattr(
+        solvers, "_pick", lambda actions, values, cur: actions[actions.index(cur) - 1]
+    )
+    with pytest.raises(ConvergenceError, match=rf"after {cap} sweeps \(cap {cap}\)"):
+        brd_solve(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +340,23 @@ def test_brute_force_rejects_more_axes_than_numpy_has(fig3):
     try:
         with pytest.raises(ValueError, match=rf"holds {2**65} profiles over 65 vehicles"):
             brute_force_nash(inst, cap=2**65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_brute_force_names_a_space_too_large_to_index(fig3):
+    # 2^63 profiles fit a raised cap and 64 axes, but exceed the largest array
+    # numpy can index: the oracle says so before it allocates anything.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(63)]
+    inst = Instance(fig3, vehicles)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=rf"holds {2**63} profiles, within the cap {2**70} but too many"
+        ):
+            brute_force_nash(inst, cap=2**70)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -482,7 +504,7 @@ def test_brute_force_breaks_near_ties_as_is_nash(penalty, equilibria):
     # half of it: only the kernel's summation order and tolerance give these sets.
     nodes = [f"p{i}" for i in range(5)]
     lengths = [1700.0, 1700.0, 1700.0, 1300.0]
-    network = pm.RoadNetwork(nodes, list(zip(nodes, nodes[1:], lengths)), "p0")
+    network = pm.RoadNetwork(list(zip(nodes, nodes[1:], lengths)), "p0")
     params = ModelParams(
         saving=lambda n: 0.002 + 0.003 * (n - 1) / n,
         penalty=lambda chosen, pref: 0.0 if chosen == pref else penalty,
