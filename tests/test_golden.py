@@ -5,8 +5,9 @@ full-recompute evaluation code that preceded the incremental platoon-state
 kernel, the ``oracle_*.txt`` files by the enumeration that followed the
 profiles with that kernel's state.  Any change to solver decisions, round
 counts, the equilibrium set or the summation order of the reported numbers
-shows up here as a byte difference.  Three hash pins extend this to a
-generated N=200 solve, to a few thousand random profiles and to the
+shows up here as a byte difference.  Four hash pins extend this to a
+generated N=200 solve, to a few thousand random profiles, to the kernel's
+selfish and cooperative scores on those kinds of profiles and to the
 equilibrium sets of a few hundred random instances.  The last test holds
 the oracle's memory on its three large pinned spaces to 40 bytes per
 profile.
@@ -42,6 +43,7 @@ from platoonmatch import (
     vehicle_utility,
 )
 from platoonmatch.cli import main
+from platoonmatch.game import _PlatoonState
 from _reference import custom_params, lone_saving_params, random_instance, random_profile
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,6 +142,31 @@ def test_reported_numbers_match_pinned_hash():
                 put(*(vehicle_utility(inst, s, v.id) for v in inst.vehicles))
                 put(*(is_nash(inst, s, tol) for tol in NASH_TOLS))
     assert h.hexdigest() == "7b06fedee3b9052172411464e884b27cbb1c0fe3e642c5b4da085759921de9ad"
+
+
+def test_kernel_values_match_pinned_hash():
+    """Every score the solvers compare, bit for bit.
+
+    100 random instances under each of the default, the custom and the
+    lone-saving model, each at its preferred profile, its best-response
+    equilibrium and three random profiles; every vehicle's
+    ``selfish_values`` and ``coop_values`` enter the hash as ``float.hex``.
+    The cooperative deltas decide near-tie moves without showing in any
+    reported number.
+    """
+    rng = np.random.default_rng(2027)
+    h = hashlib.sha256()
+    for _ in range(100):
+        for params in (None, custom_params(), lone_saving_params()):
+            inst = random_instance(rng, params=params)
+            profiles = [inst.preferred_profile, brd_solve(inst).final]
+            profiles += [random_profile(inst, rng) for _ in range(3)]
+            for s in profiles:
+                state = _PlatoonState(inst, s)
+                for idx, t in enumerate(s):
+                    for values in (state.selfish_values(idx, t), state.coop_values(idx, t)):
+                        h.update((" ".join(v.hex() for v in values) + "\n").encode())
+    assert h.hexdigest() == "5b5c503c16b73b3ed740750284eb3d5f10e4674cce1b95d6ad6c63ede4f934ca"
 
 
 def test_oracle_random_instances_match_pinned_hash():
