@@ -302,10 +302,12 @@ class _PlatoonState:
     """Per-edge head counts of every occupied departure time of one profile.
 
     ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
-    uses edge ``e``.  A move touches two count lists in O(|route|), and each
-    candidate action of a vehicle is scored from them, in O(|route|) when the
-    time is occupied and in O(1) when it is not.  The solvers, the equilibrium
-    check and the reported utilities score vehicles here and nowhere else; the
+    uses edge ``e``.  A move touches two count lists in O(|route|).  One walk,
+    ``route_sums``, scores every candidate action of a vehicle from them, in
+    O(|route|) when the time is occupied and in O(1) when it is not; read with
+    the saving rate ``f`` it gives the selfish utilities, with the marginal
+    rate ``dg`` the cooperative deltas.  The solvers, the equilibrium check
+    and the reported utilities score vehicles here and nowhere else; the
     reported sums over whole platoons come from ``_edge_sum``.  Every route
     starts on the root's single outgoing edge, so ``counts[t][route[0]]`` is
     the platoon size and a list is dropped once that reaches zero.
@@ -346,59 +348,53 @@ class _PlatoonState:
             total += table[c[e]] * lengths[e]
         return total
 
-    def selfish_values(self, idx: int, cur: float) -> list[float]:
-        """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions.
+    def route_sums(self, idx: int, cur: float, table: Sequence[float]) -> list[float]:
+        """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order,
+        for each of its actions, with the vehicle (now at ``cur``) counted in
+        that action's platoon.
 
-        An unoccupied action forms a one-vehicle platoon, so it is scored in
-        O(1) from ``Instance._alone``; an occupied one walks the route.
+        An unoccupied action forms a one-vehicle platoon, so it reads
+        ``Instance._alone`` in O(1); that is valid for any ``table`` with
+        ``table[1] == f(1)``, which ``f`` and ``dg`` both satisfy bit for bit.
+        An occupied action walks the route.
         """
         inst = self._instance
-        f = inst._f
         lengths = inst._lengths
         route = inst._routes[idx]
         alone = inst._alone[idx]
         counts = self.counts
         out = []
-        for a, p in zip(inst._actions[idx], inst._pen[idx]):
+        for a in inst._actions[idx]:
             c = counts.get(a)
             if c is None:
-                out.append(alone - p)
+                out.append(alone)
                 continue
             joining = a != cur
             total = 0.0
             for e in route:
-                total += f[c[e] + joining] * lengths[e]
-            out.append(total - p)
+                total += table[c[e] + joining] * lengths[e]
+            out.append(total)
         return out
+
+    def selfish_values(self, idx: int, cur: float) -> list[float]:
+        """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions."""
+        inst = self._instance
+        return [s - p for s, p in zip(self.route_sums(idx, cur, inst._f), inst._pen[idx])]
 
     def coop_values(self, idx: int, cur: float) -> list[float]:
         """Change in the sum of all utilities if vehicle ``idx`` moved from
-        ``cur`` to each of its actions; exactly 0.0 at ``cur``.  Unoccupied
-        actions cost O(1), as in ``selfish_values``."""
+        ``cur`` to each of its actions; exactly 0.0 at ``cur``.
+
+        Counted in a platoon, the vehicle adds ``dg[n(e)] * d(e)`` to the
+        common utility on each edge of its route, so a move gains its new
+        action's ``route_sums`` entry and loses the entry at ``cur``.
+        """
         inst = self._instance
-        dg = inst._dg
-        lengths = inst._lengths
-        route = inst._routes[idx]
-        actions = inst._actions[idx]
+        sums = self.route_sums(idx, cur, inst._dg)
         pens = inst._pen[idx]
-        leave = self.route_sum(idx, cur, dg)
-        pen_cur = pens[actions.index(cur)]
-        join_empty = inst._alone[idx] - leave
-        counts = self.counts
-        out = []
-        for a, p in zip(actions, pens):
-            if a == cur:
-                out.append(0.0)
-                continue
-            c = counts.get(a)
-            if c is None:
-                out.append(join_empty - (p - pen_cur))
-                continue
-            total = 0.0
-            for e in route:
-                total += dg[c[e] + 1] * lengths[e]
-            out.append(total - leave - (p - pen_cur))
-        return out
+        k = inst._actions[idx].index(cur)
+        leave, pen_cur = sums[k], pens[k]
+        return [(s - leave) - (p - pen_cur) for s, p in zip(sums, pens)]
 
 
 def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:
