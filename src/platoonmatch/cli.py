@@ -327,13 +327,20 @@ def cmd_oracle(args) -> int:
     return 0 if equilibria and member else 1
 
 
+def _alpha(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"--alphas: {token.strip()!r} is not a number") from None
+
+
 def _parse_alphas(spec: str) -> list[float]:
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"alpha range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = map(_alpha, parts)
         if not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"alpha range bounds must be finite, got {spec!r}")
         if step <= 0:
@@ -344,7 +351,7 @@ def _parse_alphas(spec: str) -> list[float]:
             out.append(start + k * step)
             k += 1
         return out
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return [_alpha(p) for p in spec.split(",") if p.strip()]
 
 
 def cmd_sweep(args) -> int:

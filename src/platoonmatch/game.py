@@ -62,11 +62,11 @@ class ModelParams:
 
     ``saving_rate(n)`` is the per-member, per-meter monetary saving of an
     n-vehicle platoon; by default ``k_p * (n - 1) / n``, which shares the
-    followers' saving equally so a lone vehicle gains nothing.
-    ``deviation_penalty(chosen, preferred)`` is the cost of departing at
-    ``chosen`` instead of ``preferred``; by default ``k_t * |chosen - preferred|``.
-    Custom callables may replace either; a custom saving function must come
-    with an explicit ``f_max`` bound, and a custom penalty must be finite and
+    followers' saving equally so a lone vehicle gains nothing.  Departing at
+    ``chosen`` instead of ``preferred`` costs ``penalty(chosen, preferred)``,
+    by default ``k_t * |chosen - preferred|``, which ``Instance`` evaluates
+    once per feasible action.  A custom saving function must come with an
+    explicit ``f_max`` bound, and a custom penalty must be finite and
     nonnegative on every feasible action (``Instance`` checks).
     """
 
@@ -90,11 +90,6 @@ class ModelParams:
         if self.saving is not None:
             return float(self.saving(n))
         return self.k_p * (n - 1) / n if n > 0 else 0.0
-
-    def deviation_penalty(self, chosen: float, preferred: float) -> float:
-        if self.penalty is not None:
-            return float(self.penalty(chosen, preferred))
-        return self.k_t * abs(chosen - preferred)
 
     def saving_bound(self) -> float:
         return self.k_p if self.f_max is None else self.f_max
@@ -303,10 +298,9 @@ class _PlatoonState:
 
     ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
     uses edge ``e``.  A move touches two count lists in O(|route|).  One walk,
-    ``route_sums``, scores every candidate action of a vehicle from them, in
-    O(|route|) when the time is occupied and in O(1) when it is not; read with
-    the saving rate ``f`` it gives the selfish utilities, with the marginal
-    rate ``dg`` the cooperative deltas.  The solvers, the equilibrium check
+    ``route_sums``, scores every action of a vehicle from them, in O(|route|)
+    when the time is occupied and in O(1) when it is not, for its utilities
+    and for the cooperative deltas alike.  The solvers, the equilibrium check
     and the reported utilities score vehicles here and nowhere else; the
     reported sums over whole platoons come from ``_edge_sum``.  Every route
     starts on the root's single outgoing edge, so ``counts[t][route[0]]`` is
@@ -349,15 +343,10 @@ class _PlatoonState:
         return total
 
     def route_sums(self, idx: int, cur: float, table: Sequence[float]) -> list[float]:
-        """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order,
-        for each of its actions, with the vehicle (now at ``cur``) counted in
-        that action's platoon.
-
-        An unoccupied action forms a one-vehicle platoon, so it reads
-        ``Instance._alone`` in O(1); that is valid for any ``table`` with
-        ``table[1] == f(1)``, which ``f`` and ``dg`` both satisfy bit for bit.
-        An occupied action walks the route.
-        """
+        """For each action of vehicle ``idx`` (now at ``cur``), ``sum table[n(e)] *
+        d(e)`` over its route in route order, counting it in that action's platoon.
+        An unoccupied action reads ``Instance._alone`` in O(1): ``table[1]`` is
+        ``f(1)`` bit for bit for both ``f`` and ``dg``."""
         inst = self._instance
         lengths = inst._lengths
         route = inst._routes[idx]
@@ -382,13 +371,10 @@ class _PlatoonState:
         return [s - p for s, p in zip(self.route_sums(idx, cur, inst._f), inst._pen[idx])]
 
     def coop_values(self, idx: int, cur: float) -> list[float]:
-        """Change in the sum of all utilities if vehicle ``idx`` moved from
-        ``cur`` to each of its actions; exactly 0.0 at ``cur``.
-
-        Counted in a platoon, the vehicle adds ``dg[n(e)] * d(e)`` to the
-        common utility on each edge of its route, so a move gains its new
-        action's ``route_sums`` entry and loses the entry at ``cur``.
-        """
+        """Change in the sum of all utilities if vehicle ``idx`` moved from ``cur``
+        to each of its actions; exactly 0.0 at ``cur``.  In a platoon the vehicle
+        adds ``dg[n(e)] * d(e)`` on each edge of its route, so a move gains the
+        ``route_sums`` entry of the new action and loses the one at ``cur``."""
         inst = self._instance
         sums = self.route_sums(idx, cur, inst._dg)
         pens = inst._pen[idx]

@@ -32,7 +32,8 @@ class RoadNetwork:
     """A directed tree of road segments rooted at the common origin.
 
     Node ids are opaque strings.  Edges are ``(tail, head, length_meters)``
-    triples and are identified by their ``(tail, head)`` pair; the nodes
+    triples and are identified by their ``(tail, head)`` pair; every length
+    and their running sum in declaration order are finite, and the nodes
     are the root and every edge endpoint.  The root has no incoming edge
     and exactly one outgoing edge; every other node has exactly one
     incoming edge.  Construction validates all of this and precomputes the
@@ -61,6 +62,7 @@ class RoadNetwork:
             seen.add((tail, head))
         in_edge: dict[str, int] = {}  # node -> position of its incoming edge
         root_out: tuple[str, str] | None = None
+        road = 0.0
         for k, (tail, head, length) in enumerate(self.edges):
             edge = (tail, head)
             if not (math.isfinite(length) and length > 0):
@@ -68,6 +70,13 @@ class RoadNetwork:
                     edge,
                     f"edge {tail}->{head} must have a positive finite length, got {length!r}",
                 )
+            if not math.isfinite(road + length):
+                raise InputError(
+                    edge,
+                    f"edge {tail}->{head} overflows the total road length: "
+                    f"{road!r} + {length!r} m is not finite",
+                )
+            road += length
             if head == self.root:
                 raise InputError(
                     edge, f"root {self.root} must have no incoming edge, got {tail}->{head}"

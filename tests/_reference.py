@@ -8,6 +8,7 @@ meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from platoonmatch import Instance, ModelParams, RoadNetwork, Vehicle
@@ -38,6 +39,14 @@ def ref_utility(edges, root, vehicles, profile, i, k_p=5e-5, k_t=1.5e-2):
         )
         saving += k_p * (n - 1) / n * lengths[e]
     return saving - k_t * abs(profile[i] - pref_i)
+
+
+def ref_penalty(params, chosen, preferred):
+    """Cost of departing at ``chosen`` instead of ``preferred``: the model's
+    custom penalty when it has one, else ``k_t * |chosen - preferred|``."""
+    if params.penalty is not None:
+        return float(params.penalty(chosen, preferred))
+    return params.k_t * abs(chosen - preferred)
 
 
 def ref_coop(edges, root, vehicles, profile, k_p=5e-5, k_t=1.5e-2):
@@ -176,7 +185,7 @@ def ref_potential(instance, profile):
     for members in _groups(profile).values():
         for e, n in _platoon_edge_counts(instance, members).items():
             total += r[n] * lengths[e]
-    pen = instance.params.deviation_penalty
+    pen = functools.partial(ref_penalty, instance.params)
     for idx, t in enumerate(profile):
         total -= pen(t, instance._pref[idx])
     return total
@@ -189,7 +198,7 @@ def ref_cooperative(instance, profile):
     for members in _groups(profile).values():
         for e, n in _platoon_edge_counts(instance, members).items():
             total += n * f[n] * lengths[e]
-    pen = instance.params.deviation_penalty
+    pen = functools.partial(ref_penalty, instance.params)
     penalties = 0.0
     for idx, t in enumerate(profile):
         penalties += pen(t, instance._pref[idx])
@@ -204,7 +213,7 @@ def ref_candidate_values(instance, profile, idx, objective):
         for j, t in enumerate(profile):
             if j != idx:
                 others.setdefault(t, []).append(j)
-        pen = instance.params.deviation_penalty
+        pen = functools.partial(ref_penalty, instance.params)
         pref = instance._pref[idx]
         vals = []
         for a in actions:
@@ -256,7 +265,7 @@ def ref_sweep_solve(instance, objective, start=None):
 
 def ref_is_nash(instance, profile, tol=GAIN_EPS):
     groups = _groups(profile)
-    pen = instance.params.deviation_penalty
+    pen = functools.partial(ref_penalty, instance.params)
     for idx in range(instance.n_vehicles):
         cur = profile[idx]
         pref = instance._pref[idx]

@@ -198,9 +198,13 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pa
         (GEN + "generate alpha 100\ngenerate seed 3\n", ("--seed", "-1"),
          r"seed must be a nonnegative integer, got -1"),
         (None, ("sweep", "--alphas", "0:inf:150"), r"alpha range bounds must be finite"),
+        # the edge that overflows the total road length, not the saving rate
+        ("network root v1\nnetwork edge v1 v2 1e308\nnetwork edge v2 v3 1e308\n"
+         "param k_p 0\nvehicle v3 0 -10 10\n", (),
+         r"line 3: edge v2->v3 overflows the total road length"),
     ],
     ids=["duplicate-edge", "edge-into-root", "cycle", "unreachable-edge", "node-directive",
-         "pool", "seed-override", "sweep-range-inf"],
+         "pool", "seed-override", "sweep-range-inf", "road-overflow"],
 )
 def test_rejection_anchors(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
@@ -425,6 +429,12 @@ def test_sweep_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "--alphas", "0:100")
     assert code == 1
     assert "start:stop:step" in err
+
+
+@pytest.mark.parametrize("spec, token", [("x", "x"), ("0:x:1", "x"), ("0, 1e3y ,300", "1e3y")])
+def test_sweep_names_a_bad_alpha(tmp_path, capsys, spec, token):
+    assert_rejected(tmp_path, capsys, None, ("sweep", "--alphas", spec),
+                    rf"--alphas: '{token}' is not a number")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from platoonmatch import (
     vehicle_utility,
 )
 from platoonmatch.network import InputError
-from _reference import random_instance, random_profile, ref_utility
+from _reference import random_instance, random_profile, ref_penalty, ref_utility
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_default_penalty_rows_match_model(seed, k_t):
     for idx, (acts, row) in enumerate(zip(inst._actions, inst._pen)):
         pref = inst._pref[idx]
         assert [p.hex() for p in row] == [
-            inst.params.deviation_penalty(a, pref).hex() for a in acts
+            ref_penalty(inst.params, a, pref).hex() for a in acts
         ]
 
 
@@ -360,7 +360,7 @@ def test_utility_bound():
         for v in inst.vehicles:
             route_len = sum(inst._lengths[e] for e in inst._routes[v.id - 1])
             max_pen = max(
-                inst.params.deviation_penalty(a, v.preferred_time)
+                ref_penalty(inst.params, a, v.preferred_time)
                 for a in feasible_actions(inst, v.id)
             )
             bound = inst.params.saving_bound() * route_len + max_pen

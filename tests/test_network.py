@@ -65,6 +65,15 @@ def test_bad_length_rejected(length):
         RoadNetwork([("v1", "v2", length)], "v1")
 
 
+def test_overflowing_road_length_rejected():
+    # each length is finite; their running sum stops being so at v2->v3
+    edges = [("v1", "v2", 1e308), ("v2", "v3", 1e308), ("v2", "v4", 1.0)]
+    with pytest.raises(ValueError, match=r"edge v2->v3 overflows the total road length") as info:
+        RoadNetwork(edges, "v1")
+    assert info.value.subject == ("v2", "v3")
+    assert sum(RoadNetwork(edges[:1] + edges[2:], "v1").edge_lengths) == 1e308
+
+
 def test_isolated_node_rejected():
     with pytest.raises(ValueError, match="node v7 of edge v7->v8 is unreachable") as info:
         RoadNetwork(ORPHANS, "v1")
