@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from platoonmatch import Instance, ModelParams, RoadNetwork, Vehicle
 
@@ -75,6 +76,48 @@ def ref_coop_argmax(edges, root, vehicles, action_sets, k_p=5e-5, k_t=1.5e-2):
         elif abs(v - best_val) <= 1e-12:
             best_profiles.append(s)
     return best_val, best_profiles
+
+
+def ref_coop_dp(edges, root, vehicles, action_sets, k_p=5e-5, k_t=1.5e-2):
+    """Exact maximum of the summed utility by the coalition DP (Yeh 1986).
+
+    A block ``S`` of vehicles departing together is worth ``v(S)``: the sum of
+    ``g(n_S(e)) d(e)`` over the edges its members use, where ``g(n) = k_p (n - 1)``
+    is the total saving rate of an edge carrying n of them, minus the least
+    summed penalty over the times feasible for every member (-inf if there is
+    none).  ``best[m]`` is the best split of the vehicle set ``m`` into blocks,
+    over the blocks holding m's lowest vehicle: 3^N / 2 steps.  Two blocks may
+    take the same time, which is no profile; but ``g`` is superadditive, so
+    merging them never lowers the value, and the optimum is a profile's.
+    """
+    lengths = {(t, h): d for t, h, d in edges}
+    paths = [set(ref_path(edges, root, dest)) for dest, _ in vehicles]
+    n = len(vehicles)
+    value = [-math.inf] * (1 << n)
+    for block in range(1, 1 << n):
+        members = [i for i in range(n) if block >> i & 1]
+        times = set.intersection(*(set(action_sets[i]) for i in members))
+        if not times:
+            continue
+        saving = 0.0
+        for e, d in lengths.items():
+            heads = sum(1 for i in members if e in paths[i])
+            if heads:
+                saving += k_p * (heads - 1) * d
+        penalty = min(sum(k_t * abs(t - vehicles[i][1]) for i in members) for t in times)
+        value[block] = saving - penalty
+    best = [0.0] + [-math.inf] * ((1 << n) - 1)
+    for m in range(1, 1 << n):
+        low = m & -m
+        rest = m ^ low
+        sub = rest
+        while True:  # every subset of the rest, each with the lowest vehicle
+            block = sub | low
+            best[m] = max(best[m], value[block] + best[m ^ block])
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return best[-1]
 
 
 def random_tree_edges(rng, max_nodes=10):

@@ -1,8 +1,10 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import platoonmatch as pm
 from platoonmatch import game, solvers
@@ -27,6 +29,7 @@ from _reference import (
     ref_action_sets,
     ref_brute_force_nash,
     ref_coop_argmax,
+    ref_coop_dp,
     ref_sweep_solve,
     ref_utility,
 )
@@ -252,6 +255,47 @@ def test_coop_never_below_equilibrium_objective():
         assert cooperative_utility(inst, co.final) >= cooperative_utility(
             inst, ne.final
         ) - 1e-9
+
+
+def _raw(inst):
+    return inst.network.edges, inst.network.root, [
+        (v.destination, v.preferred_time) for v in inst.vehicles
+    ]
+
+
+def test_coalition_dp_matches_enumeration():
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 40:
+        inst = random_instance(rng, max_vehicles=6)
+        if math.prod(len(a) for a in inst._actions) > 5_000:
+            continue
+        best_val, _ = ref_coop_argmax(*_raw(inst), inst._actions)
+        assert ref_coop_dp(*_raw(inst), inst._actions) == pytest.approx(best_val, rel=1e-12)
+        checked += 1
+
+
+def _one_action_instance(rng):
+    # a few shared times, so platoons form, and windows that hold one time each
+    inst = random_instance(rng)
+    vehicles = [
+        Vehicle(v.id, v.destination, t, (t, t))
+        for v, t in zip(inst.vehicles, rng.choice([0.0, 100.0, 200.0], inst.n_vehicles).tolist())
+    ]
+    return Instance(inst.network, vehicles)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_coop_never_beats_the_coalition_optimum(seed, one_action):
+    rng = np.random.default_rng(seed)
+    inst = _one_action_instance(rng) if one_action else random_instance(rng, max_vehicles=8)
+    best = ref_coop_dp(*_raw(inst), inst._actions)
+    value = cooperative_utility(inst, coop_solve(inst).final)
+    close = math.isclose(value, best, rel_tol=1e-9, abs_tol=1e-12)
+    assert value <= best or close
+    if one_action:
+        assert close
 
 
 def test_coop_start_override(merge_trio):
