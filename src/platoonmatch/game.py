@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isfinite
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .network import InputError, RoadNetwork
@@ -368,7 +369,7 @@ class _PlatoonState:
     def selfish_values(self, idx: int, cur: float) -> list[float]:
         """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions."""
         inst = self._instance
-        return [s - p for s, p in zip(self.route_sums(idx, cur, inst._f), inst._pen[idx])]
+        return list(map(sub, self.route_sums(idx, cur, inst._f), inst._pen[idx]))
 
     def coop_values(self, idx: int, cur: float) -> list[float]:
         """Change in the sum of all utilities if vehicle ``idx`` moved from ``cur``
