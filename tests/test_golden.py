@@ -169,6 +169,42 @@ def test_kernel_values_match_pinned_hash():
     assert h.hexdigest() == "5b5c503c16b73b3ed740750284eb3d5f10e4674cce1b95d6ad6c63ede4f934ca"
 
 
+def _decisions(state, inst, idx, t, objective):
+    """``(vcur, vbest, abest)`` of vehicle ``idx`` at ``t``, from its per-action scores."""
+    values = state.selfish_values(idx, t) if objective == "self" else state.coop_values(idx, t)
+    acts = inst._actions[idx]
+    k = acts.index(t)
+    others = [(v, a) for j, (v, a) in enumerate(zip(values, acts)) if j != k]
+    vbest = max((v for v, _ in others), default=-math.inf)
+    abest = next((a for v, a in others if v == vbest), None)
+    return values[k], vbest, abest
+
+
+def test_kernel_decisions_match_pinned_hash():
+    """Every solver and equilibrium-check decision input, bit for bit.
+
+    The profiles of ``test_kernel_values_match_pinned_hash``; for every
+    vehicle and both objectives, its value at its current time, the best
+    value over its other actions and the smallest such action enter the hash
+    as ``float.hex``, with ``-inf`` and ``None`` for a vehicle with one action.
+    """
+    rng = np.random.default_rng(2027)
+    h = hashlib.sha256()
+    for _ in range(100):
+        for params in (None, custom_params(), lone_saving_params()):
+            inst = random_instance(rng, params=params)
+            profiles = [inst.preferred_profile, brd_solve(inst).final]
+            profiles += [random_profile(inst, rng) for _ in range(3)]
+            for s in profiles:
+                state = _PlatoonState(inst, s)
+                for idx, t in enumerate(s):
+                    for objective in ("self", "cooperative"):
+                        vcur, vbest, abest = _decisions(state, inst, idx, t, objective)
+                        best = "None" if abest is None else abest.hex()
+                        h.update(f"{vcur.hex()} {vbest.hex()} {best}\n".encode())
+    assert h.hexdigest() == "d37751788c43df44d74d293b398128350b3f11a36e1eaeaa3f4019aef6215947"
+
+
 def test_oracle_random_instances_match_pinned_hash():
     """The equilibrium sets of 306 random instances, bit for bit.
 
