@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isfinite
-from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .network import InputError, RoadNetwork
@@ -299,7 +298,7 @@ class _PlatoonState:
 
     ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
     uses edge ``e``.  A move touches two count lists in O(|route|).  One walk,
-    ``route_sums``, scores every action of a vehicle from them, in O(|route|)
+    ``scan``, scores every action of a vehicle from them, in O(|route|)
     when the time is occupied and in O(1) when it is not, for its utilities
     and for the cooperative deltas alike.  The solvers, the equilibrium check
     and the reported utilities score vehicles here and nowhere else; the
@@ -343,45 +342,47 @@ class _PlatoonState:
             total += table[c[e]] * lengths[e]
         return total
 
-    def route_sums(self, idx: int, cur: float, table: Sequence[float]) -> list[float]:
-        """For each action of vehicle ``idx`` (now at ``cur``), ``sum table[n(e)] *
-        d(e)`` over its route in route order, counting it in that action's platoon.
-        An unoccupied action reads ``Instance._alone`` in O(1): ``table[1]`` is
-        ``f(1)`` bit for bit for both ``f`` and ``dg``."""
+    def scan(self, idx: int, cur: float, objective: str) -> tuple[float, float, float | None]:
+        """``(vcur, vbest, abest)``: vehicle ``idx``'s value at ``cur`` (its time)
+        under ``objective``, the largest value over its other actions (``-inf``
+        if none) and the smallest action reaching that.
+
+        An action's value is ``(s - leave) - (p - pen_cur)``, with ``s`` the walk
+        ``sum table[n(e)] * d(e)`` over the route counting the vehicle in that
+        action's platoon and ``p`` its penalty.  For ``"self"``, ``table`` is
+        ``f`` and ``leave = pen_cur = 0.0``: the utility, bit for bit.  Else it
+        is ``dg`` and ``leave, pen_cur`` are ``s, p`` at ``cur``: the change in
+        the sum of all utilities, since in a platoon the vehicle adds ``dg[n(e)]
+        * d(e)`` on each edge of its route.  An unoccupied action reads
+        ``Instance._alone`` in O(1): ``table[1]`` is ``f(1)`` bit for bit for both.
+        """
         inst = self._instance
+        table = inst._f if objective == "self" else inst._dg
+        acts = inst._actions[idx]
+        pens = inst._pen[idx]
+        s_cur = self.route_sum(idx, cur, table)
+        p_cur = pens[acts.index(cur)]
+        leave, pen_cur = (0.0, 0.0) if objective == "self" else (s_cur, p_cur)
+        vcur = (s_cur - leave) - (p_cur - pen_cur)
         lengths = inst._lengths
         route = inst._routes[idx]
         alone = inst._alone[idx]
         counts = self.counts
-        out = []
-        for a in inst._actions[idx]:
+        vbest, abest = -inf, None
+        for a, p in zip(acts, pens):
+            if a == cur:
+                continue
             c = counts.get(a)
             if c is None:
-                out.append(alone)
-                continue
-            joining = a != cur
-            total = 0.0
-            for e in route:
-                total += table[c[e] + joining] * lengths[e]
-            out.append(total)
-        return out
-
-    def selfish_values(self, idx: int, cur: float) -> list[float]:
-        """Utility of vehicle ``idx`` (now at ``cur``) for each of its actions."""
-        inst = self._instance
-        return list(map(sub, self.route_sums(idx, cur, inst._f), inst._pen[idx]))
-
-    def coop_values(self, idx: int, cur: float) -> list[float]:
-        """Change in the sum of all utilities if vehicle ``idx`` moved from ``cur``
-        to each of its actions; exactly 0.0 at ``cur``.  In a platoon the vehicle
-        adds ``dg[n(e)] * d(e)`` on each edge of its route, so a move gains the
-        ``route_sums`` entry of the new action and loses the one at ``cur``."""
-        inst = self._instance
-        sums = self.route_sums(idx, cur, inst._dg)
-        pens = inst._pen[idx]
-        k = inst._actions[idx].index(cur)
-        leave, pen_cur = sums[k], pens[k]
-        return [(s - leave) - (p - pen_cur) for s, p in zip(sums, pens)]
+                s = alone
+            else:
+                s = 0.0
+                for e in route:
+                    s += table[c[e] + 1] * lengths[e]
+            v = (s - leave) - (p - pen_cur)
+            if v > vbest:
+                vbest, abest = v, a
+        return vcur, vbest, abest
 
 
 def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:

@@ -61,18 +61,11 @@ class SolveReport:
         return [metric(self.instance, s) for s in self.history]
 
 
-def _values(state: game._PlatoonState, objective: str):
-    """The kernel method scoring one vehicle's actions under ``objective``."""
-    return state.selfish_values if objective == "self" else state.coop_values
-
-
-def _pick(actions: tuple[float, ...], values: list[float], current: float) -> float:
-    """Keep the current action unless something beats it by more than GAIN_EPS;
+def _decide(state: game._PlatoonState, idx: int, cur: float, objective: str) -> float:
+    """Keep the current action unless another beats it by more than GAIN_EPS;
     otherwise move to the smallest action attaining the maximum."""
-    vmax = max(values)
-    if values[actions.index(current)] >= vmax - GAIN_EPS:
-        return current
-    return actions[values.index(vmax)]
+    vcur, vbest, abest = state.scan(idx, cur, objective)
+    return cur if vcur >= vbest - GAIN_EPS else abest
 
 
 def best_response(
@@ -90,8 +83,7 @@ def best_response(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     game._check_profile(instance, profile)
     idx = game._index_of(instance, vehicle_id)
-    values = _values(game._PlatoonState(instance, profile), objective)
-    return _pick(instance._actions[idx], values(idx, profile[idx]), profile[idx])
+    return _decide(game._PlatoonState(instance, profile), idx, profile[idx], objective)
 
 
 def _sweep_solve(
@@ -101,7 +93,6 @@ def _sweep_solve(
     max_sweeps = 10 * n * len(instance._all_times)
     s = list(instance._pref if start is None else start)
     state = game._PlatoonState(instance, s)
-    values = _values(state, objective)
     history = [tuple(s)]
     rounds = 0
     last = n - 1  # the previous sweep's last mover; n - 1 runs the first sweep in full
@@ -109,7 +100,7 @@ def _sweep_solve(
         mover = -1
         for idx in range(n):
             cur = s[idx]
-            a = _pick(instance._actions[idx], values(idx, cur), cur)
+            a = _decide(state, idx, cur, objective)
             if a != cur:
                 state.move(idx, cur, a)
                 s[idx] = a
@@ -160,19 +151,18 @@ def coop_solve(instance: Instance, start: Profile | None = None) -> SolveReport:
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
     """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone.
 
-    Each vehicle's actions are all scored by the best-response kernel
-    (``_PlatoonState.selfish_values``), and only its other actions are held
-    against its current value plus ``tol``: a vehicle with one action is
-    stable under any ``tol``, negative ones included.
+    Each vehicle is scored by the best-response kernel (``_PlatoonState.scan``):
+    only the best of its other actions is held against its current value plus
+    ``tol``, so a vehicle with one action is stable under any ``tol``,
+    negative ones included.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
-    ks = game._check_profile(instance, profile)
+    game._check_profile(instance, profile)
     state = game._PlatoonState(instance, profile)
-    for idx, k in enumerate(ks):
-        values = state.selfish_values(idx, profile[idx])
-        bar = values[k] + tol
-        if any(v > bar for j, v in enumerate(values) if j != k):
+    for idx, t in enumerate(profile):
+        vcur, vbest, _ = state.scan(idx, t, "self")
+        if vbest > vcur + tol:
             return False
     return True
 

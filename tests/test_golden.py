@@ -6,9 +6,10 @@ kernel, the ``oracle_*.txt`` files by the enumeration that followed the
 profiles with that kernel's state.  Any change to solver decisions, round
 counts, the equilibrium set or the summation order of the reported numbers
 shows up here as a byte difference.  Four hash pins extend this to a
-generated N=200 solve, to a few thousand random profiles, to the kernel's
-selfish and cooperative scores on those kinds of profiles and to the
-equilibrium sets of a few hundred random instances.  The last test holds
+generated N=200 solve, to a few thousand random profiles, to what the
+kernel's scan returns for each vehicle of those kinds of profiles under
+both objectives and to the equilibrium sets of a few hundred random
+instances.  The last test holds
 the oracle's memory on its three large pinned spaces to 40 bytes per
 profile.
 """
@@ -144,49 +145,17 @@ def test_reported_numbers_match_pinned_hash():
     assert h.hexdigest() == "7b06fedee3b9052172411464e884b27cbb1c0fe3e642c5b4da085759921de9ad"
 
 
-def test_kernel_values_match_pinned_hash():
-    """Every score the solvers compare, bit for bit.
+def test_kernel_decisions_match_pinned_hash():
+    """Every score the solvers and the equilibrium check decide from, bit for bit.
 
     100 random instances under each of the default, the custom and the
     lone-saving model, each at its preferred profile, its best-response
-    equilibrium and three random profiles; every vehicle's
-    ``selfish_values`` and ``coop_values`` enter the hash as ``float.hex``.
-    The cooperative deltas decide near-tie moves without showing in any
-    reported number.
-    """
-    rng = np.random.default_rng(2027)
-    h = hashlib.sha256()
-    for _ in range(100):
-        for params in (None, custom_params(), lone_saving_params()):
-            inst = random_instance(rng, params=params)
-            profiles = [inst.preferred_profile, brd_solve(inst).final]
-            profiles += [random_profile(inst, rng) for _ in range(3)]
-            for s in profiles:
-                state = _PlatoonState(inst, s)
-                for idx, t in enumerate(s):
-                    for values in (state.selfish_values(idx, t), state.coop_values(idx, t)):
-                        h.update((" ".join(v.hex() for v in values) + "\n").encode())
-    assert h.hexdigest() == "5b5c503c16b73b3ed740750284eb3d5f10e4674cce1b95d6ad6c63ede4f934ca"
-
-
-def _decisions(state, inst, idx, t, objective):
-    """``(vcur, vbest, abest)`` of vehicle ``idx`` at ``t``, from its per-action scores."""
-    values = state.selfish_values(idx, t) if objective == "self" else state.coop_values(idx, t)
-    acts = inst._actions[idx]
-    k = acts.index(t)
-    others = [(v, a) for j, (v, a) in enumerate(zip(values, acts)) if j != k]
-    vbest = max((v for v, _ in others), default=-math.inf)
-    abest = next((a for v, a in others if v == vbest), None)
-    return values[k], vbest, abest
-
-
-def test_kernel_decisions_match_pinned_hash():
-    """Every solver and equilibrium-check decision input, bit for bit.
-
-    The profiles of ``test_kernel_values_match_pinned_hash``; for every
-    vehicle and both objectives, its value at its current time, the best
-    value over its other actions and the smallest such action enter the hash
-    as ``float.hex``, with ``-inf`` and ``None`` for a vehicle with one action.
+    equilibrium and three random profiles.  For every vehicle and both
+    objectives, ``_PlatoonState.scan``'s value at the current time, best
+    value over the other actions and smallest action reaching it enter the
+    hash as ``float.hex``, with ``-inf`` and ``None`` for a vehicle with one
+    action.  The cooperative deltas decide near-tie moves without showing in
+    any reported number.
     """
     rng = np.random.default_rng(2027)
     h = hashlib.sha256()
@@ -199,7 +168,7 @@ def test_kernel_decisions_match_pinned_hash():
                 state = _PlatoonState(inst, s)
                 for idx, t in enumerate(s):
                     for objective in ("self", "cooperative"):
-                        vcur, vbest, abest = _decisions(state, inst, idx, t, objective)
+                        vcur, vbest, abest = state.scan(idx, t, objective)
                         best = "None" if abest is None else abest.hex()
                         h.update(f"{vcur.hex()} {vbest.hex()} {best}\n".encode())
     assert h.hexdigest() == "d37751788c43df44d74d293b398128350b3f11a36e1eaeaa3f4019aef6215947"

@@ -36,6 +36,7 @@ from _reference import (
     ref_pick,
     ref_sweep_solve,
 )
+from test_golden import NASH_TOLS
 
 
 @st.composite
@@ -80,6 +81,8 @@ def test_best_response_and_is_nash_match_full_recompute(data):
     profiles = [brd_solve(inst).final] + [random_profile(inst, rng) for _ in range(4)]
     for s in profiles:
         assert is_nash(inst, s) == ref_is_nash(inst, s)
+        for tol in NASH_TOLS:
+            assert is_nash(inst, s, tol) == ref_is_nash(inst, s, tol)
         for idx in range(inst.n_vehicles):
             for objective in ("self", "cooperative"):
                 want = ref_pick(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import platoonmatch as pm
-from platoonmatch import game, solvers
+from platoonmatch import game
 from platoonmatch import (
     ConvergenceError,
     Instance,
@@ -21,6 +21,7 @@ from platoonmatch import (
     is_nash,
     paper_fig3,
     potential,
+    vehicle_utility,
 )
 from _reference import (
     custom_params,
@@ -106,6 +107,35 @@ def test_best_response_keeps_current_on_tie(fig3):
     assert best_response(inst, (100.0, 100.0), 1) == 100.0
 
 
+def tied_alternatives(fig3):
+    # Vehicle 1 departs alone at 0; joining the truck at -50 or the one at 50
+    # is worth the same under both objectives, bit for bit.
+    return Instance(
+        fig3,
+        [
+            Vehicle(1, "v5", 0.0, (-100.0, 100.0)),
+            Vehicle(2, "v5", -50.0, (-50.0, -50.0)),
+            Vehicle(3, "v5", 50.0, (50.0, 50.0)),
+        ],
+    )
+
+
+def test_best_response_takes_smallest_of_tied_alternatives(fig3):
+    inst = tied_alternatives(fig3)
+    for objective in ("self", "cooperative"):
+        assert best_response(inst, (0.0, -50.0, 50.0), 1, objective) == -50.0
+
+
+def test_is_nash_holds_a_gain_equal_to_tol_stable(fig3):
+    inst = tied_alternatives(fig3)
+    s = (0.0, -50.0, 50.0)
+    assert vehicle_utility(inst, s, 1) == 0.0
+    gain = vehicle_utility(inst, (-50.0, -50.0, 50.0), 1)
+    assert gain > 0.0
+    assert is_nash(inst, s, tol=gain)
+    assert not is_nash(inst, s, tol=math.nextafter(gain, 0.0))
+
+
 def test_best_response_cooperative_objective(merge_trio):
     # from (400, 400, 800) vehicle 3 joining at 400 lifts the sum most
     assert best_response(merge_trio, (400.0, 400.0, 800.0), 3, "cooperative") == 400.0
@@ -178,11 +208,13 @@ def test_confirming_sweep_stops_after_last_mover(fig3, monkeypatch):
         ],
     )
     scored = []
-    for name in ("selfish_values", "coop_values"):
-        def counted(self, idx, cur, original=getattr(game._PlatoonState, name)):
-            scored.append(idx)
-            return original(self, idx, cur)
-        monkeypatch.setattr(game._PlatoonState, name, counted)
+    original = game._PlatoonState.scan
+
+    def counted(self, idx, cur, objective):
+        scored.append(idx)
+        return original(self, idx, cur, objective)
+
+    monkeypatch.setattr(game._PlatoonState, "scan", counted)
     pref = inst.preferred_profile
     merged = (0.0, 130.0, 130.0, 5000.0)
     for objective, solve in (
@@ -198,12 +230,16 @@ def test_confirming_sweep_stops_after_last_mover(fig3, monkeypatch):
 
 
 def test_brd_cap_raises(fig3, monkeypatch):
-    # a pick that always moves never settles, so the sweeps run into the cap
+    # a scan that always proposes another action never settles, so the sweeps
+    # run into the cap
     inst = same_dest_pair(fig3)
     cap = 10 * inst.n_vehicles * len(inst._all_times)
-    monkeypatch.setattr(
-        solvers, "_pick", lambda actions, values, cur: actions[actions.index(cur) - 1]
-    )
+
+    def restless(self, idx, cur, objective):
+        actions = inst._actions[idx]
+        return 0.0, 1.0, actions[actions.index(cur) - 1]
+
+    monkeypatch.setattr(game._PlatoonState, "scan", restless)
     with pytest.raises(ConvergenceError, match=rf"after {cap} sweeps \(cap {cap}\)"):
         brd_solve(inst)
 
