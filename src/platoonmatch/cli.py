@@ -334,6 +334,11 @@ def _alpha(token: str) -> float:
         raise ValueError(f"--alphas: {token.strip()!r} is not a number") from None
 
 
+#: The most values an alpha range may expand to; a step too small to move its
+#: start would otherwise never end it.
+_MAX_ALPHAS = 10_000
+
+
 def _parse_alphas(spec: str) -> list[float]:
     spec = spec.strip()
     if ":" in spec:
@@ -346,10 +351,12 @@ def _parse_alphas(spec: str) -> list[float]:
         if step <= 0:
             raise ValueError(f"alpha step must be > 0, got {step}")
         out = []
-        k = 0
-        while start + k * step <= stop + 1e-9:
-            out.append(start + k * step)
-            k += 1
+        while start + len(out) * step <= stop + 1e-9:
+            if len(out) == _MAX_ALPHAS:
+                raise ValueError(
+                    f"--alphas: range {spec!r} expands to more than {_MAX_ALPHAS} values"
+                )
+            out.append(start + len(out) * step)
         return out
     return [_alpha(p) for p in spec.split(",") if p.strip()]
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from platoonmatch import paper_fig3
-from platoonmatch.cli import dump_scenario, load_scenario, main
+from platoonmatch import default_alpha_grid, paper_fig3
+from platoonmatch.cli import _parse_alphas, dump_scenario, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -173,11 +173,17 @@ GEN = FIG3 + "generate n 3\n"
         (None, ("sweep", "--alphas", "x"), r"--alphas: 'x' is not a number"),
         (None, ("sweep", "--alphas", "0:x:1"), r"--alphas: 'x' is not a number"),
         (None, ("sweep", "--alphas", "0, 1e3y ,300"), r"--alphas: '1e3y' is not a number"),
+        # a step below the start's resolution never moves it
+        (None, ("sweep", "--alphas", "1e300:1e300:1"),
+         r"--alphas: range '1e300:1e300:1' expands to more than 10000 values"),
+        (None, ("sweep", "--alphas", "0:1e300:1"),
+         r"--alphas: range '0:1e300:1' expands to more than 10000 values"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
          "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
          "sweep-k_p-overflow", "k_t-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range",
-         "sweep-alphas-word", "sweep-alphas-range-word", "sweep-alphas-list-word"],
+         "sweep-alphas-word", "sweep-alphas-range-word", "sweep-alphas-list-word",
+         "sweep-alphas-stuck-range", "sweep-alphas-huge-range"],
 )
 def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
@@ -427,6 +433,12 @@ def test_sweep_alpha_range_parsing(capsys, tmp_path):
     assert len(rows) == 3
     assert rows[1].split(",")[0] == "0.0"
     assert rows[2].split(",")[0] == "150.0"
+
+
+def test_alpha_range_keeps_its_values_up_to_the_limit():
+    # the longest range the limit accepts, and the default grid as a range
+    assert _parse_alphas("0:9999:1") == [float(k) for k in range(10_000)]
+    assert _parse_alphas("0:1500:150") == list(default_alpha_grid())
 
 
 def test_sweep_rejects_bad_range(capsys):
