@@ -9,9 +9,8 @@ shows up here as a byte difference.  Four hash pins extend this to a
 generated N=200 solve, to a few thousand random profiles, to what the
 kernel's scan returns for each vehicle of those kinds of profiles under
 both objectives and to the equilibrium sets of a few hundred random
-instances.  The last test holds
-the oracle's memory on its three large pinned spaces to 40 bytes per
-profile.
+instances.  The last test holds the oracle's memory on its three large
+pinned spaces to 40 bytes per profile.
 """
 
 import hashlib
