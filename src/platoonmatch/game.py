@@ -60,39 +60,26 @@ class Vehicle:
 class ModelParams:
     """Saving and penalty model.
 
-    ``saving_rate(n)`` is the per-member, per-meter monetary saving of an
+    ``saving(n)`` is the per-member, per-meter monetary saving of an
     n-vehicle platoon; by default ``k_p * (n - 1) / n``, which shares the
     followers' saving equally so a lone vehicle gains nothing.  Departing at
     ``chosen`` instead of ``preferred`` costs ``penalty(chosen, preferred)``,
-    by default ``k_t * |chosen - preferred|``, which ``Instance`` evaluates
-    once per feasible action.  A custom saving function must come with an
-    explicit ``f_max`` bound, and a custom penalty must be finite and
-    nonnegative on every feasible action (``Instance`` checks).
+    by default ``k_t * |chosen - preferred|``.  ``Instance`` evaluates both
+    once, the saving per platoon size up to N and the penalty per feasible
+    action, and checks that each value is finite and nonnegative and that
+    every sum stays finite; a saving sum is at most N * max f * road length.
     """
 
     k_p: float = 5e-5
     k_t: float = 1.5e-2
     saving: Callable[[int], float] | None = None
     penalty: Callable[[float, float], float] | None = None
-    f_max: float | None = None
 
     def __post_init__(self):
         for name in ("k_p", "k_t"):
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0):
                 raise InputError(name, f"{name} must be finite and >= 0, got {value}")
-        if self.saving is not None and self.f_max is None:
-            raise InputError("f_max", "a custom saving function requires an explicit f_max")
-        if self.f_max is not None and not (isfinite(self.f_max) and self.f_max >= 0):
-            raise InputError("f_max", f"f_max must be finite and >= 0, got {self.f_max}")
-
-    def saving_rate(self, n: int) -> float:
-        if self.saving is not None:
-            return float(self.saving(n))
-        return self.k_p * (n - 1) / n if n > 0 else 0.0
-
-    def saving_bound(self) -> float:
-        return self.k_p if self.f_max is None else self.f_max
 
 
 @lru_cache(maxsize=64)
@@ -103,13 +90,12 @@ def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]
     total rate of an edge carrying m platoon members and ``dg[m] = g(m) - g(m-1)``
     the common-utility rate that an edge gains with its m-th member.
     """
-    bound = params.saving_bound()
     f = [0.0] * (n + 1)
     r = [0.0] * (n + 1)
     for m in range(1, n + 1):
-        val = params.saving_rate(m)
-        if not (isfinite(val) and -1e-12 <= val <= bound + 1e-12):
-            raise ValueError(f"saving rate f({m})={val!r} outside [0, f_max={bound}]")
+        val = params.k_p * (m - 1) / m if params.saving is None else float(params.saving(m))
+        if not (isfinite(val) and val >= -1e-12):
+            raise ValueError(f"saving rate f({m})={val!r} must be finite and >= 0")
         f[m] = val
         r[m] = r[m - 1] + val
     g = tuple(m * val for m, val in enumerate(f))
@@ -179,19 +165,23 @@ class Instance:
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
         #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
+        try:
+            tables = _saving_tables(self.params, len(self.vehicles))
+        except TypeError:  # a custom callable that cannot be hashed: build them uncached
+            tables = _saving_tables.__wrapped__(self.params, len(self.vehicles))
+        self._f, self._r, self._g, self._dg = tables
         # Every saving sum (a utility, the potential, the common utility) is
-        # at most N * f_max * (total edge length), and every penalty sum at
+        # at most N * max(f) * (total edge length), and every penalty sum at
         # most ``worst``; their sum bounds every value the solvers compare.
-        bound = self.params.saving_bound()
+        # Multiplying N * max(f) first also rejects an infinite g(N).
+        top = max(self._f)
         road = sum(self._lengths)
-        savings = len(self.vehicles) * bound * road
+        savings = len(self.vehicles) * top * road
         if not isfinite(savings):
-            name = "k_p" if self.params.f_max is None else "f_max"
-            raise InputError(
-                name,
-                f"{name} {bound!r} overflows the saving sums: {len(self.vehicles)} "
-                f"vehicles x {bound!r} x {road!r} m of road is not finite",
-            )
+            why = f"{len(self.vehicles)} vehicles x max f {top!r} x {road!r} m of road is not finite"
+            if self.params.saving is None:
+                raise InputError("k_p", f"k_p {self.params.k_p!r} overflows the saving sums: {why}")
+            raise ValueError(f"the custom saving overflows the saving sums: {why}")
         if not isfinite(savings + worst):
             why = (
                 f"the largest penalties of the {len(self.vehicles)} vehicles sum to "
@@ -200,11 +190,6 @@ class Instance:
             if pen is None:
                 raise InputError("k_t", f"k_t {k_t!r} overflows the penalty sums: {why}")
             raise ValueError(f"the custom deviation penalty overflows the penalty sums: {why}")
-        try:
-            tables = _saving_tables(self.params, len(self.vehicles))
-        except TypeError:  # a custom callable that cannot be hashed: build them uncached
-            tables = _saving_tables.__wrapped__(self.params, len(self.vehicles))
-        self._f, self._r, self._g, self._dg = tables
         #: ``_alone[idx] = sum f(1) d(e)`` over vehicle ``idx``'s route in route
         #: order: the saving term of every departure time nobody occupies and,
         #: as ``dg(1) = f(1)`` holds bit for bit, the common-utility gain of

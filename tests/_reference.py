@@ -173,14 +173,13 @@ def custom_params():
         penalty=lambda chosen, pref: 0.02 * (chosen - pref)
         if chosen >= pref
         else 0.005 * (pref - chosen),
-        f_max=0.01,
     )
 
 
 def lone_saving_params():
     """A model where a lone truck saves too (``f(1) > 0``), so every departure
     time nobody occupies has a nonzero saving term."""
-    return ModelParams(saving=lambda n: 0.002 + 0.003 * (n - 1) / n, f_max=0.005)
+    return ModelParams(saving=lambda n: 0.002 + 0.003 * (n - 1) / n)
 
 
 # ---------------------------------------------------------------------------

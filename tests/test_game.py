@@ -51,8 +51,6 @@ def test_vehicle_window_must_contain_preferred():
 def test_params_validation():
     with pytest.raises(ValueError, match="k_p"):
         ModelParams(k_p=-1.0)
-    with pytest.raises(ValueError, match="f_max"):
-        ModelParams(saving=lambda n: 0.0)
 
 
 def test_instance_rejects_bad_ids(fig3):
@@ -82,9 +80,9 @@ def test_profile_validation(pair):
 
 
 def test_saving_rate_bound_enforced(fig3):
-    params = ModelParams(saving=lambda n: 0.5 * n, f_max=0.4)
+    params = ModelParams(saving=lambda n: -0.5 * n)
     for _ in range(2):  # every instance built with the model raises, not only the first
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"saving rate f\(1\)=-0\.5 must be finite and >= 0"):
             Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))] , params)
 
 
@@ -96,7 +94,7 @@ def test_unhashable_custom_saving_accepted(pair):
         def __call__(self, n):
             return self.k_p * (n - 1) / n
 
-    inst = Instance(pair.network, pair.vehicles, ModelParams(saving=Rate(5e-5), f_max=5e-5))
+    inst = Instance(pair.network, pair.vehicles, ModelParams(saving=Rate(5e-5)))
     assert (inst._f, inst._r, inst._g, inst._dg) == (pair._f, pair._r, pair._g, pair._dg)
 
 
@@ -124,20 +122,23 @@ def test_default_penalty_overflow_rejected(fig3):
 
 
 @pytest.mark.parametrize(
-    "params, subject",
+    "model, error, message",
     [
-        (ModelParams(k_p=1e305), "k_p"),
-        (ModelParams(saving=lambda n: 0.0, f_max=1e305), "f_max"),
+        (lambda k: ModelParams(k_p=k), InputError, r"k_p 1e\+305 overflows the saving sums"),
+        (lambda k: ModelParams(saving=lambda n: k), ValueError,
+         r"the custom saving overflows the saving sums"),
     ],
-    ids=["k_p", "f_max"],
+    ids=["k_p", "custom"],
 )
-def test_saving_sum_overflow_rejected(fig3, params, subject):
-    # each rate is finite, but 3 vehicles x 1e305 x 792 km of road is not
+def test_saving_sum_overflow_rejected(fig3, model, error, message):
+    # each rate is finite, but 3 vehicles x up to 1e305 x 792 km of road is not
     vehicles = [Vehicle(i + 1, "v9", 0.0, (0.0, 0.0)) for i in range(3)]
-    with pytest.raises(InputError, match=rf"{subject} 1e\+305 overflows the saving sums") as exc:
-        Instance(fig3, vehicles, params)
-    assert exc.value.subject == subject
-    Instance(fig3, vehicles, dataclasses.replace(params, **{subject: 1e295}))
+    with pytest.raises(ValueError, match=message) as exc:
+        Instance(fig3, vehicles, model(1e305))
+    assert type(exc.value) is error
+    if error is InputError:
+        assert exc.value.subject == "k_p"
+    Instance(fig3, vehicles, model(1e295))
 
 
 def test_penalty_sum_overflow_rejected(fig3):
@@ -363,7 +364,7 @@ def test_utility_bound():
                 ref_penalty(inst.params, a, v.preferred_time)
                 for a in feasible_actions(inst, v.id)
             )
-            bound = inst.params.saving_bound() * route_len + max_pen
+            bound = max(inst._f) * route_len + max_pen
             assert abs(vehicle_utility(inst, s, v.id)) <= bound + 1e-9
 
 
@@ -397,7 +398,6 @@ def test_exact_potential_identity_custom_model(fig3):
         penalty=lambda chosen, pref: 0.02 * (chosen - pref)
         if chosen >= pref
         else 0.005 * (pref - chosen),
-        f_max=0.01,
     )
     rng = np.random.default_rng(15)
     for _ in range(30):

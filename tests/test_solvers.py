@@ -588,7 +588,6 @@ def test_brute_force_breaks_near_ties_as_is_nash(penalty, equilibria):
     params = ModelParams(
         saving=lambda n: 0.002 + 0.003 * (n - 1) / n,
         penalty=lambda chosen, pref: 0.0 if chosen == pref else penalty,
-        f_max=0.005,
     )
     inst = Instance(network, [
         Vehicle(1, "p4", 100.0, (0.0, 100.0)),
