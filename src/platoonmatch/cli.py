@@ -23,7 +23,9 @@ fixed: seconds, meters, dollars, liters.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -226,12 +228,22 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Instanc
 
 
 def dump_scenario(instance: Instance) -> str:
-    """Serialize an instance as a scenario file that re-parses identically."""
+    """Serialize an instance as a scenario file that re-parses identically.
+
+    ValueError for a custom saving or penalty, and for a node id that would
+    not come back as one token: an empty id, or one holding whitespace or ``#``.
+    """
     params = instance.params
     if params.saving is not None or params.penalty is not None:
         raise ValueError("custom saving/penalty functions cannot be serialized")
-    lines = ["# platoonmatch scenario"]
     net = instance.network
+    for node in sorted(net.nodes):
+        if node.split() != [node] or "#" in node:
+            raise ValueError(
+                f"node id {node!r} cannot be serialized: a scenario token holds no "
+                "whitespace or '#'"
+            )
+    lines = ["# platoonmatch scenario"]
     lines.append(f"network root {net.root}")
     for tail, head, length in net.edges:
         lines.append(f"network edge {tail} {head} {_fmt(length)}")
@@ -271,23 +283,23 @@ def _solve_csv(instance: Instance, payload: dict) -> str:
     for k, entry in enumerate(payload["partition"], start=1):
         for vid in entry["vehicles"]:
             platoon_of[vid] = k
-    lines = ["vehicle,destination,preferred_time,chosen_time,platoon,utility"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ("vehicle", "destination", "preferred_time", "chosen_time", "platoon", "utility")
+    )
     for v in instance.vehicles:
-        lines.append(
-            ",".join(
-                [
-                    str(v.id),
-                    v.destination,
-                    _fmt(v.preferred_time),
-                    _fmt(payload["profile"][v.id - 1]),
-                    str(platoon_of[v.id]),
-                    _fmt(payload["utilities"][v.id - 1]),
-                ]
-            )
-        )
+        writer.writerow((
+            v.id,
+            v.destination,
+            _fmt(v.preferred_time),
+            _fmt(payload["profile"][v.id - 1]),
+            platoon_of[v.id],
+            _fmt(payload["utilities"][v.id - 1]),
+        ))
     for key in ("potential", "total_fuel_saving", "nonplatooning_fraction", "rounds"):
-        lines.append(f"# {key}={payload[key]!r}")
-    return "\n".join(lines) + "\n"
+        buf.write(f"# {key}={payload[key]!r}\n")
+    return buf.getvalue()
 
 
 def _write_out(text: str, out: str | None):
@@ -371,7 +383,7 @@ def cmd_sweep(args) -> int:
         window_halfwidth=args.halfwidth,
         params=ModelParams(k_p=args.kp, k_t=args.kt),
     )
-    alphas = _parse_alphas(args.alphas) if args.alphas else list(default_alpha_grid())
+    alphas = default_alpha_grid() if args.alphas is None else _parse_alphas(args.alphas)
     result = sweep_alpha(config, alphas, args.reps)
     _write_out(result.to_csv(), args.out)
     for key, rho in trend_summary(result).items():

@@ -27,8 +27,6 @@ from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
 from .network import InputError, RoadNetwork
 
-_SEED_MASK = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -53,8 +51,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0):
                 raise InputError(name, f"{name} must be finite and >= 0, got {value}")
-        if self.seed < 0:
-            raise InputError("seed", f"seed must be a nonnegative integer, got {self.seed}")
+        if not 0 <= self.seed < 1 << 64:
+            raise InputError("seed", f"seed must be an integer in [0, 2**64), got {self.seed}")
         pool = tuple(self.destination_pool)
         if not pool:
             pool = tuple(sorted(self.network.nodes - {self.network.root}))
@@ -119,7 +117,7 @@ def replication_seed(root_seed: int, alpha: float, rep: int) -> int:
     """Per-replication generator seed: root seed mixed with alpha's bit pattern
     and the replication index, so any single replication can be reproduced."""
     alpha_bits = struct.unpack("<Q", struct.pack("<d", float(alpha)))[0]
-    ss = np.random.SeedSequence([root_seed & _SEED_MASK, alpha_bits, rep])
+    ss = np.random.SeedSequence([root_seed, alpha_bits, rep])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -184,12 +182,14 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     alphas = sorted({float(a) for a in alphas})
     if not alphas:
         raise ValueError("alphas must hold at least one value")
+    # every alpha is checked before the first replication runs
+    configs = [replace(config, alpha=alpha) for alpha in alphas]
     rows = []
-    for alpha in alphas:
+    for alpha, alpha_config in zip(alphas, configs):
         samples = []
         for rep in range(replications):
             seed = replication_seed(config.seed, alpha, rep)
-            instance = generate_scenario(replace(config, alpha=alpha, seed=seed))
+            instance = generate_scenario(replace(alpha_config, seed=seed))
             ne, coop = run_replication(instance)
             samples.append((ne.fuel_saving, ne.nonplatooning_fraction, coop.fuel_saving,
                             coop.nonplatooning_fraction, ne.rounds, coop.rounds))

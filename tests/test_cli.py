@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from platoonmatch import default_alpha_grid, paper_fig3
+from platoonmatch import Instance, RoadNetwork, Vehicle, default_alpha_grid, experiments, paper_fig3
 from platoonmatch.cli import _parse_alphas, dump_scenario, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,12 +179,18 @@ GEN = FIG3 + "generate n 3\n"
          r"--alphas: range '1e300:1e300:1' expands to more than 10000 values"),
         (None, ("sweep", "--alphas", "0:1e300:1"),
          r"--alphas: range '0:1e300:1' expands to more than 10000 values"),
+        # a seed of 2**64 would alias seed 0
+        (None, ("sweep", "--n", "2", "--reps", "1", "--alphas", "0", "--seed", str(2**64)),
+         r"seed must be an integer in \[0, 2\*\*64\), got 18446744073709551616"),
+        (GEN + "generate alpha 100\ngenerate seed 18446744073709551616\n", (),
+         r"line 4: seed must be an integer in \[0, 2\*\*64\)"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
          "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
          "sweep-k_p-overflow", "k_t-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range",
          "sweep-alphas-word", "sweep-alphas-range-word", "sweep-alphas-list-word",
-         "sweep-alphas-stuck-range", "sweep-alphas-huge-range"],
+         "sweep-alphas-stuck-range", "sweep-alphas-huge-range", "sweep-seed-2**64",
+         "generate-seed-2**64"],
 )
 def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
@@ -206,7 +213,7 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pa
          r"line 4: destination pool references unknown node 'v99'"),
         # a command-line seed has no line in the file
         (GEN + "generate alpha 100\ngenerate seed 3\n", ("--seed", "-1"),
-         r"seed must be a nonnegative integer, got -1"),
+         r"seed must be an integer in \[0, 2\*\*64\), got -1"),
         (None, ("sweep", "--alphas", "0:inf:150"), r"alpha range bounds must be finite"),
         # the edge that overflows the total road length, not the saving rate
         ("network root v1\nnetwork edge v1 v2 1e308\nnetwork edge v2 v3 1e308\n"
@@ -254,6 +261,13 @@ def test_dump_scenario_round_trips(tmp_path, two_vehicles):
     assert dump_scenario(again) == dump_scenario(inst)
 
 
+@pytest.mark.parametrize("node", ["depot#2", "a b", ""])
+def test_dump_scenario_rejects_node_ids_that_cannot_reparse(node):
+    inst = Instance(RoadNetwork([("o", node, 1000.0)], "o"), [Vehicle(1, node, 0.0, (0.0, 0.0))])
+    with pytest.raises(ValueError, match=rf"node id {re.escape(repr(node))} cannot be serialized"):
+        dump_scenario(inst)
+
+
 def test_dump_scenario_resolves_generator(tmp_path):
     path = tmp_path / "gen.scn"
     path.write_text(
@@ -296,6 +310,19 @@ def test_solve_csv_format(capsys, two_vehicles):
     assert lines[0] == "vehicle,destination,preferred_time,chosen_time,platoon,utility"
     assert len([l for l in lines if not l.startswith("#")]) == 3
     assert any(l.startswith("# total_fuel_saving=8.0") for l in lines)
+
+
+def test_solve_csv_quotes_node_ids(capsys, tmp_path):
+    # a comma is a legal token character, so the destination field needs quotes
+    path = tmp_path / "comma.scn"
+    path.write_text(
+        "network root o\nnetwork edge o a,b 1000\nvehicle a,b 0 -10 10\nvehicle a,b 5 -10 10\n"
+    )
+    code, out, _ = run_cli(capsys, "solve", str(path), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert [row[1] for row in rows[1:]] == ["a,b", "a,b"]
 
 
 def test_solve_coop_mode(capsys):
@@ -439,6 +466,25 @@ def test_alpha_range_keeps_its_values_up_to_the_limit():
     # the longest range the limit accepts, and the default grid as a range
     assert _parse_alphas("0:9999:1") == [float(k) for k in range(10_000)]
     assert _parse_alphas("0:1500:150") == list(default_alpha_grid())
+
+
+@pytest.mark.parametrize(
+    "alphas, pattern",
+    [("", r"alphas must hold at least one value"), ("0,300,inf", r"alpha must be finite")],
+    ids=["empty", "inf-last"],
+)
+def test_sweep_rejects_alphas_before_any_replication(capsys, monkeypatch, alphas, pattern):
+    runs = []
+    real = experiments.run_replication
+
+    def counted(instance):
+        runs.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(experiments, "run_replication", counted)
+    code, out, err = run_cli(capsys, "sweep", "--n", "2", "--reps", "3", "--alphas", alphas)
+    assert (code, out, len(runs)) == (1, "", 0)
+    assert re.fullmatch(rf"error: {pattern}[^\n]*\n", err), err
 
 
 def test_sweep_rejects_bad_range(capsys):
