@@ -24,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
@@ -64,10 +63,11 @@ class ModelParams:
     n-vehicle platoon; by default ``k_p * (n - 1) / n``, which shares the
     followers' saving equally so a lone vehicle gains nothing.  Departing at
     ``chosen`` instead of ``preferred`` costs ``penalty(chosen, preferred)``,
-    by default ``k_t * |chosen - preferred|``.  ``Instance`` evaluates both
-    once, the saving per platoon size up to N and the penalty per feasible
-    action, and checks that each value is finite and nonnegative and that
-    every sum stays finite; a saving sum is at most N * max f * road length.
+    by default ``k_t * |chosen - preferred|``.  ``Instance`` evaluates the
+    penalty once per feasible action and the saving once per platoon size up
+    to N and model object, whose tables stay on the model outside its fields.
+    It checks that each value is finite and nonnegative and that every sum
+    stays finite; a saving sum is at most N * max f * road length.
     """
 
     k_p: float = 5e-5
@@ -80,16 +80,18 @@ class ModelParams:
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0):
                 raise InputError(name, f"{name} must be finite and >= 0, got {value}")
+        object.__setattr__(self, "_tables", {})  # n -> _saving_tables(self, n)
 
 
-@lru_cache(maxsize=64)
 def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]:
-    """``(f, r, g, dg)`` up to ``n`` members, shared by all instances of one model
-    and size; an error is not cached, so each such instance raises it again.
-    ``f`` is the saving rate and ``r`` its running sum; ``g[m] = m f(m)`` is the
-    total rate of an edge carrying m platoon members and ``dg[m] = g(m) - g(m-1)``
-    the common-utility rate that an edge gains with its m-th member.
+    """``(f, r, g, dg)`` up to ``n`` members, built once per model object and size
+    into ``params._tables``; an error is not kept, so each instance of a bad model
+    raises it again.  ``f`` is the saving rate and ``r`` its running sum; ``g[m] =
+    m f(m)`` is the total rate of an edge carrying m platoon members and ``dg[m] =
+    g(m) - g(m-1)`` the common-utility rate that an edge gains with its m-th member.
     """
+    if n in params._tables:
+        return params._tables[n]
     f = [0.0] * (n + 1)
     r = [0.0] * (n + 1)
     for m in range(1, n + 1):
@@ -100,7 +102,8 @@ def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]
         r[m] = r[m - 1] + val
     g = tuple(m * val for m, val in enumerate(f))
     dg = (0.0,) + tuple(b - a for a, b in zip(g, g[1:]))
-    return tuple(f), tuple(r), g, dg
+    params._tables[n] = tables = tuple(f), tuple(r), g, dg
+    return tables
 
 
 class Instance:
@@ -165,11 +168,7 @@ class Instance:
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
         #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
-        try:
-            tables = _saving_tables(self.params, len(self.vehicles))
-        except TypeError:  # a custom callable that cannot be hashed: build them uncached
-            tables = _saving_tables.__wrapped__(self.params, len(self.vehicles))
-        self._f, self._r, self._g, self._dg = tables
+        self._f, self._r, self._g, self._dg = _saving_tables(self.params, len(self.vehicles))
         # Every saving sum (a utility, the potential, the common utility) is
         # at most N * max(f) * (total edge length), and every penalty sum at
         # most ``worst``; their sum bounds every value the solvers compare.
