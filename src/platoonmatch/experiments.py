@@ -20,6 +20,7 @@ import io
 import struct
 from dataclasses import dataclass, fields, replace
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -28,12 +29,18 @@ from .game import Instance, ModelParams, Vehicle
 from .network import InputError, RoadNetwork
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Inputs of the random scenario generator.
 
-    An empty ``destination_pool`` means every non-root node, in sorted id
-    order.
+    ``n_vehicles`` and ``seed`` are integers (Python or numpy, not bool).
+    ``destination_pool`` is a sequence of node ids; an empty one means every
+    non-root node, in sorted id order.
     """
 
     network: RoadNetwork
@@ -45,14 +52,23 @@ class ScenarioConfig:
     params: ModelParams = ModelParams()
 
     def __post_init__(self):
+        if not _is_int(self.n_vehicles):
+            raise InputError(
+                "n_vehicles", f"n_vehicles must be an integer, got {self.n_vehicles!r}"
+            )
         if self.n_vehicles < 1:
             raise InputError("n_vehicles", f"n_vehicles must be >= 1, got {self.n_vehicles}")
         for name in ("alpha", "window_halfwidth"):
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0):
                 raise InputError(name, f"{name} must be finite and >= 0, got {value}")
-        if not 0 <= self.seed < 1 << 64:
-            raise InputError("seed", f"seed must be an integer in [0, 2**64), got {self.seed}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
+            raise InputError("seed", f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if isinstance(self.destination_pool, str):
+            raise InputError(
+                "destination_pool", "a destination pool is a sequence of node ids, "
+                f"not the string {self.destination_pool!r}"
+            )
         pool = tuple(self.destination_pool)
         if not pool:
             pool = tuple(sorted(self.network.nodes - {self.network.root}))
@@ -177,8 +193,8 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     Rows come out in ascending alpha; duplicates in ``alphas`` collapse.
     Deterministic for a given (config, alphas, replications).
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not (_is_int(replications) and replications >= 1):
+        raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
     alphas = sorted({float(a) for a in alphas})
     if not alphas:
         raise ValueError("alphas must hold at least one value")

@@ -83,6 +83,15 @@ class ModelParams:
         object.__setattr__(self, "_tables", {})  # n -> _saving_tables(self, n)
 
 
+def _number(value):
+    """``float(value)``, or ``value`` itself when it is not a number, so that the
+    caller's range check rejects it under a message that shows what it was."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
 def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]:
     """``(f, r, g, dg)`` up to ``n`` members, built once per model object and size
     into ``params._tables``; an error is not kept, so each instance of a bad model
@@ -95,8 +104,8 @@ def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]
     f = [0.0] * (n + 1)
     r = [0.0] * (n + 1)
     for m in range(1, n + 1):
-        val = params.k_p * (m - 1) / m if params.saving is None else float(params.saving(m))
-        if not (isfinite(val) and val >= -1e-12):
+        val = params.k_p * (m - 1) / m if params.saving is None else _number(params.saving(m))
+        if not (isinstance(val, float) and isfinite(val) and val >= -1e-12):
             raise ValueError(f"saving rate f({m})={val!r} must be finite and >= 0")
         f[m] = val
         r[m] = r[m - 1] + val
@@ -155,9 +164,9 @@ class Instance:
             acts = times[bisect_left(times, lo):bisect_right(times, hi)]
             # the default penalty's own expression, so the same bits
             row = tuple([k_t * abs(a - pref) for a in acts] if pen is None else
-                        [float(pen(a, pref)) for a in acts])
+                        [_number(pen(a, pref)) for a in acts])
             for a, p in zip(acts, row):
-                if not 0.0 <= p < inf:
+                if not (isinstance(p, float) and 0.0 <= p < inf):
                     raise ValueError(
                         f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
                         "must be finite and >= 0"

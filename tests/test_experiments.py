@@ -49,6 +49,19 @@ def test_config_validation(fig3):
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=("v1",))
     with pytest.raises(ValueError, match="unknown node"):
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=("zz",))
+    with pytest.raises(InputError, match="a destination pool is a sequence of node ids") as exc:
+        ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool="v4")
+    assert exc.value.subject == "destination_pool"
+    for name in ("n_vehicles", "seed"):
+        for bad in (2.5, True, "3"):
+            with pytest.raises(InputError, match=rf"{name} must be an integer") as exc:
+                ScenarioConfig(**{"network": fig3, "n_vehicles": 3, "alpha": 1.0, name: bad})
+            assert exc.value.subject == name
+    config = ScenarioConfig(network=fig3, n_vehicles=np.int64(3), alpha=1.0, seed=np.uint64(7))
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 1"):
+            sweep_alpha(config, [0.0], bad)
+    assert sweep_alpha(config, [0.0], np.int64(2)).to_csv().splitlines()[1].startswith("0.0,2,")
 
 
 @pytest.mark.parametrize("alpha", [-1.0, float("nan")])
@@ -182,6 +195,24 @@ def test_sweep_never_computes_objective_traces(base_config, monkeypatch):
     monkeypatch.setattr(pm.game, "cooperative_utility", refuse)
     result = sweep_alpha(base_config, [0.0, 300.0], replications=3)
     assert len(result.rows) == 2
+
+
+def test_sweep_evaluates_each_saving_rate_once(fig3):
+    @dataclasses.dataclass
+    class Rate:  # compares by value, so it cannot be hashed
+        calls: list
+
+        def __call__(self, n):
+            self.calls.append(n)
+            return 5e-5 * (n - 1) / n
+
+    rate = Rate([])
+    config = ScenarioConfig(
+        network=fig3, n_vehicles=10, alpha=0.0, params=pm.ModelParams(saving=rate)
+    )
+    sweep_alpha(config, pm.default_alpha_grid(), 20)
+    # one model object and one size across all 220 replications
+    assert rate.calls == list(range(1, 11))
 
 
 def test_sweep_csv_layout(base_config):

@@ -159,7 +159,32 @@ def test_penalty_sum_overflow_rejected(fig3):
     assert np.isfinite(cooperative_utility(inst, both_deviate))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("bad", [None, "x", 10**400], ids=["None", "str", "int-overflow"])
+def test_saving_rejected_naming_the_rate(fig3, bad):
+    calls = []
+
+    def saving(n):
+        calls.append(n)
+        return bad
+
+    with pytest.raises(ValueError, match=rf"saving rate f\(1\)={bad!r} must be finite and >= 0"):
+        Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))], ModelParams(saving=saving))
+    assert calls == [1]
+
+
+def test_saving_error_propagates_unchanged(fig3):
+    calls = []
+
+    def saving(n):
+        calls.append(n)
+        raise TypeError("inside the saving")
+
+    with pytest.raises(TypeError, match="inside the saving"):
+        Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))], ModelParams(saving=saving))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, None, "x"])
 def test_penalty_rejected_naming_vehicle_and_action(fig3, bad):
     # a NaN penalty used to reach an AssertionError inside the solvers
     params = ModelParams(penalty=lambda chosen, pref: 0.0 if chosen == pref else bad)
