@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from platoonmatch import Instance, RoadNetwork, Vehicle, default_alpha_grid, experiments, paper_fig3
-from platoonmatch.cli import _parse_alphas, dump_scenario, load_scenario, main
+from platoonmatch import (
+    Instance, ModelParams, RoadNetwork, Vehicle, default_alpha_grid, experiments, paper_fig3,
+)
+from platoonmatch.cli import ScenarioError, _parse_alphas, dump_scenario, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -184,13 +186,14 @@ GEN = FIG3 + "generate n 3\n"
          r"seed must be an integer in \[0, 2\*\*64\), got 18446744073709551616"),
         (GEN + "generate alpha 100\ngenerate seed 18446744073709551616\n", (),
          r"line 4: seed must be an integer in \[0, 2\*\*64\)"),
+        (None, ("sweep", "--alphas", "0:10:0"), r"alpha step must be > 0, got 0\.0"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
          "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
          "sweep-k_p-overflow", "k_t-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range",
          "sweep-alphas-word", "sweep-alphas-range-word", "sweep-alphas-list-word",
          "sweep-alphas-stuck-range", "sweep-alphas-huge-range", "sweep-seed-2**64",
-         "generate-seed-2**64"],
+         "generate-seed-2**64", "sweep-alphas-zero-step"],
 )
 def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
@@ -227,6 +230,73 @@ def test_rejection_anchors(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
 
 
+ROOT_V1 = "network root v1\n"
+#: (scenario text, its exact rejection message), one for each rejection of ``_Parser``
+SCENARIO_REJECTIONS = [
+    # every usage form
+    ("network\n", "line 1: incomplete network directive"),
+    ("network preset\n", "line 1: usage: network preset <name>"),
+    ("network preset paper-fig3 x\n", "line 1: usage: network preset <name>"),
+    ("network root\n", "line 1: usage: network root <node>"),
+    ("network root v1 v2\n", "line 1: usage: network root <node>"),
+    (ROOT_V1 + "network edge v1 v2\n", "line 2: usage: network edge <tail> <head> <length_m>"),
+    (FIG3 + "param k_p\n", "line 2: usage: param k_p|k_t <value>"),
+    (FIG3 + "param k_q 1\n", "line 2: usage: param k_p|k_t <value>"),
+    (FIG3 + "vehicle v4 0 -10\n",
+     "line 2: usage: vehicle <destination> <preferred> <window_lo> <window_hi>"),
+    (FIG3 + "generate\n", "line 2: incomplete generate directive"),
+    (FIG3 + "generate n\n", "line 2: usage: generate n <count>"),
+    (FIG3 + "generate n 3 4\n", "line 2: usage: generate n <count>"),
+    (FIG3 + "generate alpha\n", "line 2: usage: generate alpha <seconds>"),
+    (FIG3 + "generate halfwidth 1 2\n", "line 2: usage: generate halfwidth <seconds>"),
+    (FIG3 + "generate seed\n", "line 2: usage: generate seed <int>"),
+    (FIG3 + "generate pool\n", "line 2: usage: generate pool <node> [<node> ...]"),
+    # every "already declared"
+    (FIG3 + FIG3, "line 2: preset already declared"),
+    (ROOT_V1 + ROOT_V1, "line 2: root already declared"),
+    (NET + "network root v2\n", "line 3: root already declared"),
+    (FIG3 + "param k_t 1\nparam k_t 2\n", "line 3: k_t already declared"),
+    (GEN + "generate n 4\n", "line 3: generate n already declared"),
+    (FIG3 + "generate pool v2\ngenerate pool v3\n", "line 3: generate pool already declared"),
+    # presets against explicit lines, and the root before edges
+    (ROOT_V1 + FIG3, "line 2: a preset cannot be combined with explicit network lines"),
+    (FIG3 + ROOT_V1, "line 2: explicit root cannot be combined with a preset"),
+    (FIG3 + "network edge v1 v2 5\n", "line 2: explicit edges cannot be combined with a preset"),
+    ("network edge v1 v2 5\n", "line 1: declare 'network root' before edges"),
+    # unknown names
+    ("network preset fig3\n", "line 1: unknown preset 'fig3' (known: paper-fig3)"),
+    (ROOT_V1 + "network node v2\n", "line 2: unknown network directive 'node'"),
+    (GEN + "generate count 3\n", "line 3: unknown generate directive 'count'"),
+    # tokens that are not numbers
+    (ROOT_V1 + "network edge v1 v2 far\n", "line 2: edge length must be a number, got 'far'"),
+    (FIG3 + "param k_t 1e-2x\n", "line 2: k_t must be a number, got '1e-2x'"),
+    (FIG3 + "vehicle v4 noon -10 10\n", "line 2: preferred time must be a number, got 'noon'"),
+    (FIG3 + "vehicle v4 0 x 10\n", "line 2: window_lo must be a number, got 'x'"),
+    (FIG3 + "vehicle v4 0 -10 y\n", "line 2: window_hi must be a number, got 'y'"),
+    (GEN + "generate alpha soon\n", "line 3: generate alpha must be a number, got 'soon'"),
+    (GEN + "generate halfwidth -\n", "line 3: generate halfwidth must be a number, got '-'"),
+    (FIG3 + "generate n 2.5\n", "line 2: generate n must be an integer, got '2.5'"),
+    (GEN + "generate seed 0x1\n", "line 3: generate seed must be an integer, got '0x1'"),
+    # sections
+    (GEN + "vehicle v4 0 -10 10\n",
+     "line 3: explicit vehicles cannot be combined with a generate section"),
+    (FIG3, "scenario defines neither vehicles nor a generate section"),
+    (FIG3 + "generate alpha 100\n", "generate section is missing 'generate n'"),
+    (GEN, "generate section is missing 'generate alpha'"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, message", SCENARIO_REJECTIONS, ids=[m for _, m in SCENARIO_REJECTIONS]
+)
+def test_scenario_rejection_message(tmp_path, scenario, message):
+    path = tmp_path / "bad.scn"
+    path.write_text(scenario)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_overflowing_saving_rejected_at_its_line(tmp_path, capsys, command):
     # at k_p 1e305 every rate is finite, but the route sums overflow
@@ -259,6 +329,9 @@ def test_dump_scenario_round_trips(tmp_path, two_vehicles):
     again = load_scenario(dumped)
     assert again == inst
     assert dump_scenario(again) == dump_scenario(inst)
+    custom = Instance(inst.network, inst.vehicles, ModelParams(saving=lambda n: 0.0))
+    with pytest.raises(ValueError, match="custom saving/penalty functions cannot be serialized"):
+        dump_scenario(custom)
 
 
 @pytest.mark.parametrize("node", ["depot#2", "a b", ""])

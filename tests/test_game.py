@@ -56,6 +56,8 @@ def test_params_validation():
 def test_instance_rejects_bad_ids(fig3):
     with pytest.raises(ValueError, match="ids must be 1..N"):
         Instance(fig3, [Vehicle(2, "v2", 0.0, (-1.0, 1.0))])
+    with pytest.raises(ValueError, match="an instance needs at least one vehicle"):
+        Instance(fig3, [])
 
 
 def test_instance_rejects_root_destination(fig3):
@@ -77,6 +79,9 @@ def test_profile_validation(pair):
             vehicle_utility(pair, (0.0, bad), 1)
     with pytest.raises(ValueError, match="entries"):
         vehicle_utility(pair, (0.0,), 1)
+    for vid in (0, 3):
+        with pytest.raises(ValueError, match=f"no vehicle with id {vid}"):
+            vehicle_utility(pair, (0.0, 100.0), vid)
 
 
 def test_saving_rate_bound_enforced(fig3):

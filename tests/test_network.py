@@ -34,6 +34,8 @@ def test_single_edge_network_is_valid():
 def test_root_out_degree_two_rejected():
     with pytest.raises(ValueError, match="exactly one outgoing edge"):
         RoadNetwork([("v1", "v2", 10.0), ("v1", "v3", 10.0)], "v1")
+    with pytest.raises(ValueError, match="root v1 must have exactly one outgoing edge, found none"):
+        RoadNetwork([("v2", "v3", 10.0)], "v1")
 
 
 def test_root_incoming_edge_rejected():
