@@ -112,7 +112,7 @@ class _Parser:
                 self.fail(lineno, "usage: network preset <name>")
             if self.preset is not None:
                 self.fail(lineno, "preset already declared")
-            if self.root is not None or self.edges:
+            if self.root is not None:
                 self.fail(lineno, "a preset cannot be combined with explicit network lines")
             if rest[1] not in PRESETS:
                 known = ", ".join(sorted(PRESETS))
@@ -125,8 +125,6 @@ class _Parser:
                 self.fail(lineno, "explicit root cannot be combined with a preset")
             if self.root is not None:
                 self.fail(lineno, "root already declared")
-            if self.edges:
-                self.fail(lineno, "the root must be declared before any edge")
             self.root = rest[1]
         elif kind == "edge":
             if len(rest) != 4:

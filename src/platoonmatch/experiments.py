@@ -19,28 +19,22 @@ import csv
 import io
 import struct
 from dataclasses import dataclass, fields, replace
-from math import isfinite
-from numbers import Integral
 
 import numpy as np
 
 from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
-from .network import InputError, RoadNetwork
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer, False for a bool or anything else."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+from .network import InputError, RoadNetwork, is_count, nonnegative_float
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Inputs of the random scenario generator.
 
-    ``n_vehicles`` and ``seed`` are integers (Python or numpy, not bool).
-    ``destination_pool`` is a sequence of node ids; an empty one means every
-    non-root node, in sorted id order.
+    ``n_vehicles`` and ``seed`` are integers (Python or numpy, not bool),
+    ``alpha`` and ``window_halfwidth`` finite real numbers >= 0, and
+    ``destination_pool`` a sequence of keys of ``network.routes`` (an empty
+    one means all of them, in sorted id order).
     """
 
     network: RoadNetwork
@@ -52,35 +46,27 @@ class ScenarioConfig:
     params: ModelParams = ModelParams()
 
     def __post_init__(self):
-        if not _is_int(self.n_vehicles):
+        if not is_count(self.n_vehicles):
             raise InputError(
                 "n_vehicles", f"n_vehicles must be an integer, got {self.n_vehicles!r}"
             )
         if self.n_vehicles < 1:
             raise InputError("n_vehicles", f"n_vehicles must be >= 1, got {self.n_vehicles}")
         for name in ("alpha", "window_halfwidth"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value >= 0):
-                raise InputError(name, f"{name} must be finite and >= 0, got {value}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
+            nonnegative_float(name, getattr(self, name))
+        if not (is_count(self.seed) and 0 <= self.seed < 1 << 64):
             raise InputError("seed", f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if isinstance(self.destination_pool, str):
             raise InputError(
                 "destination_pool", "a destination pool is a sequence of node ids, "
                 f"not the string {self.destination_pool!r}"
             )
-        pool = tuple(self.destination_pool)
-        if not pool:
-            pool = tuple(sorted(self.network.nodes - {self.network.root}))
+        pool = tuple(self.destination_pool) or tuple(sorted(self.network.routes))
         for node in pool:
-            if node not in self.network.nodes:
-                raise InputError(
-                    "destination_pool", f"destination pool references unknown node {node!r}"
-                )
-            if node == self.network.root:
-                raise InputError("destination_pool", "destination pool must not contain the root")
-        if not pool:
-            raise InputError("destination_pool", "destination pool is empty")
+            if node not in self.network.routes:
+                why = ("must not contain the root" if node == self.network.root
+                       else f"references unknown node {node!r}")
+                raise InputError("destination_pool", f"destination pool {why}")
         object.__setattr__(self, "destination_pool", pool)
 
 
@@ -193,15 +179,15 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     Rows come out in ascending alpha; duplicates in ``alphas`` collapse.
     Deterministic for a given (config, alphas, replications).
     """
-    if not (_is_int(replications) and replications >= 1):
+    if not (is_count(replications) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
-    alphas = sorted({float(a) for a in alphas})
+    # every alpha is checked before the first replication runs
+    alphas = sorted({nonnegative_float("alpha", a) for a in alphas})
     if not alphas:
         raise ValueError("alphas must hold at least one value")
-    # every alpha is checked before the first replication runs
-    configs = [replace(config, alpha=alpha) for alpha in alphas]
     rows = []
-    for alpha, alpha_config in zip(alphas, configs):
+    for alpha in alphas:
+        alpha_config = replace(config, alpha=alpha)
         samples = []
         for rep in range(replications):
             seed = replication_seed(config.seed, alpha, rep)

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
-from .network import InputError, RoadNetwork
+from .network import InputError, RoadNetwork, is_count, is_real, nonnegative_float
 
 Profile = Sequence[float]
 
 
 @dataclass(frozen=True)
 class Vehicle:
-    """One truck: destination, preferred departure time, departure window."""
+    """One truck: integer id >= 1, destination, preferred time in its window ``(lo, hi)``."""
 
     id: int
     destination: str
@@ -42,11 +42,16 @@ class Vehicle:
     window: tuple[float, float]
 
     def __post_init__(self):
-        if self.id < 1:
-            raise InputError(self.id, f"vehicle id must be >= 1, got {self.id}")
-        lo, hi = self.window
-        if not (isfinite(lo) and isfinite(hi) and isfinite(self.preferred_time)):
-            raise InputError(self.id, f"vehicle {self.id}: non-finite time bounds")
+        if not (is_count(self.id) and self.id >= 1):
+            raise InputError(self.id, f"vehicle id must be an integer >= 1, got {self.id!r}")
+        try:
+            lo, hi = self.window
+        except (TypeError, ValueError):
+            raise InputError(self.id, f"vehicle {self.id}: window must be a (lo, hi) pair, "
+                             f"got {self.window!r}") from None
+        if not (is_real(lo) and is_real(hi) and is_real(self.preferred_time)):
+            raise InputError(self.id, f"vehicle {self.id}: non-finite or non-number time bounds: "
+                             f"preferred time {self.preferred_time!r}, window ({lo!r}, {hi!r})")
         if not lo <= self.preferred_time <= hi:
             raise InputError(
                 self.id,
@@ -76,20 +81,14 @@ class ModelParams:
     penalty: Callable[[float, float], float] | None = None
 
     def __post_init__(self):
-        for name in ("k_p", "k_t"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value >= 0):
-                raise InputError(name, f"{name} must be finite and >= 0, got {value}")
+        for name in ("k_p", "k_t"):  # a float, so that numpy numbers give float sums
+            object.__setattr__(self, name, nonnegative_float(name, getattr(self, name)))
         object.__setattr__(self, "_tables", {})  # n -> _saving_tables(self, n)
 
 
 def _number(value):
-    """``float(value)``, or ``value`` itself when it is not a number, so that the
-    caller's range check rejects it under a message that shows what it was."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return value
+    """``float(value)`` for a number under ``is_real``, else ``value`` for the caller to reject."""
+    return float(value) if is_real(value) else value
 
 
 def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]:
@@ -140,12 +139,10 @@ class Instance:
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"vehicle ids must be 1..N in order, got {ids}")
         for v in self.vehicles:
-            if v.destination not in network.nodes:
-                raise InputError(v.id, f"vehicle {v.id}: unknown destination {v.destination!r}")
-            if v.destination == network.root:
-                raise InputError(
-                    v.id, f"vehicle {v.id}: destination equals the origin {network.root!r}"
-                )
+            if v.destination not in network.routes:
+                why = ("destination equals the origin" if v.destination == network.root
+                       else "unknown destination")
+                raise InputError(v.id, f"vehicle {v.id}: {why} {v.destination!r}")
 
         self._routes: tuple[tuple[int, ...], ...] = tuple(
             network.routes[v.destination] for v in self.vehicles

@@ -11,6 +11,7 @@ shared freely across workers.
 from __future__ import annotations
 
 import math
+from numbers import Integral, Real
 from typing import Iterable
 
 
@@ -28,22 +29,46 @@ class InputError(ValueError):
         self.subject = subject
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number finite as a float, False for a bool."""
+    if type(value) is float:  # the common case, without the cost of the ABC check
+        return math.isfinite(value)
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def is_count(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def nonnegative_float(name: str, value) -> float:
+    """``float(value)`` for a real number that is finite and >= 0, else ``InputError(name)``."""
+    if not (is_real(value) and value >= 0):
+        raise InputError(name, f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 class RoadNetwork:
     """A directed tree of road segments rooted at the common origin.
 
     Node ids are opaque strings.  Edges are ``(tail, head, length_meters)``
-    triples and are identified by their ``(tail, head)`` pair; every length
-    and their running sum in declaration order are finite, and the nodes
-    are the root and every edge endpoint.  The root has no incoming edge
-    and exactly one outgoing edge; every other node has exactly one
-    incoming edge.  Construction validates all of this and precomputes the
-    route to every node: ``routes[node]`` holds the positions into
-    ``edges`` of the route from the root, in travel order.
+    triples and are identified by their ``(tail, head)`` pair; every length is
+    a positive real number, kept as a float, their running sum in declaration
+    order is finite, and the nodes are the root and every edge endpoint.  The
+    root has no incoming edge and exactly one outgoing edge; every other node
+    has exactly one incoming edge.  Construction validates all of this and
+    precomputes the route to every node: ``routes[node]`` holds the positions
+    into ``edges`` of the route from the root, in travel order, so its keys
+    are exactly the nodes other than the root: the valid destinations.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str, float]], root: str):
+        # a length that is not a number stays as given, for ``_validate`` to name
         self.edges: tuple[tuple[str, str, float], ...] = tuple(
-            (str(t), str(h), float(d)) for t, h, d in edges
+            (str(t), str(h), float(d) if is_real(d) else d) for t, h, d in edges
         )
         self.root: str = str(root)
         self.nodes: frozenset[str] = frozenset(
@@ -65,7 +90,7 @@ class RoadNetwork:
         road = 0.0
         for k, (tail, head, length) in enumerate(self.edges):
             edge = (tail, head)
-            if not (math.isfinite(length) and length > 0):
+            if not (is_real(length) and length > 0):
                 raise InputError(
                     edge,
                     f"edge {tail}->{head} must have a positive finite length, got {length!r}",

@@ -22,16 +22,13 @@ import numpy as np
 
 from . import game
 from .game import Instance, Profile
+from .network import is_real
 
 #: Gains at or below this threshold count as floating-point noise: a vehicle
 #: keeps its current action unless some alternative beats it by more.
 GAIN_EPS = 1e-12
 
 _OBJECTIVES = ("self", "cooperative")
-
-#: numpy's limit on the number of array axes; ``brute_force_nash`` gives each
-#: vehicle with a choice one axis.
-_MAX_AXES = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -156,8 +153,8 @@ def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool
     ``tol``, so a vehicle with one action is stable under any ``tol``,
     negative ones included.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    if not is_real(tol):
+        raise ValueError(f"tol must be a finite number, got {tol!r}")
     game._check_profile(instance, profile)
     state = game._PlatoonState(instance, profile)
     for idx, t in enumerate(profile):
@@ -170,9 +167,8 @@ def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
     """All pure Nash equilibria, by checking every profile of the space at once.
 
-    Raises ValueError when the profile space exceeds ``cap``, when more
-    than 64 vehicles (numpy's limit on array axes) have a choice, or when
-    its arrays do not fit in memory or in numpy's index range.  Never empty:
+    Raises ValueError when the profile space exceeds ``cap``, or when its
+    arrays do not fit in memory or in numpy's index range.  Never empty:
     a finite exact potential game always has a pure NE.
 
     Each vehicle with more than one action gets one numpy axis, holding the
@@ -200,16 +196,13 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     if size > cap:
         raise ValueError(f"profile space holds {size} profiles, exceeding the cap {cap}")
     movers = [idx for idx, acts in enumerate(actions) if len(acts) > 1]
-    if len(movers) > _MAX_AXES:
-        raise ValueError(
-            f"profile space holds {size} profiles over {len(movers)} vehicles with a "
-            f"choice; at most {_MAX_AXES} can be checked as array axes"
-        )
     too_many = (
         f"profile space holds {size} profiles, within the cap {cap} but too "
         "many to check as arrays in this memory; lower the cap"
     )
-    if size > np.iinfo(np.intp).max:  # numpy refuses such shapes with its own error
+    # numpy refuses such shapes with its own error.  A mover has two actions or
+    # more, so this also refuses more movers than numpy 2's 64 axes can hold.
+    if size > np.iinfo(np.intp).max:
         raise ValueError(too_many)
     slot = {t: k for k, t in enumerate(instance._all_times)}
     grid: dict[int, np.ndarray] = {}

@@ -43,6 +43,11 @@ def test_config_defaults_pool_to_nonroot_nodes(fig3):
 def test_config_validation(fig3):
     with pytest.raises(ValueError, match="alpha"):
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=-1.0)
+    for name, bad in (("alpha", "1"), ("alpha", True), ("window_halfwidth", None)):
+        pattern = rf"{name} must be finite and >= 0, got {bad!r}"
+        with pytest.raises(InputError, match=pattern) as exc:
+            ScenarioConfig(**{"network": fig3, "n_vehicles": 3, "alpha": 1.0, name: bad})
+        assert exc.value.subject == name
     with pytest.raises(ValueError, match="n_vehicles"):
         ScenarioConfig(network=fig3, n_vehicles=0, alpha=1.0)
     with pytest.raises(ValueError, match="root"):
@@ -57,16 +62,18 @@ def test_config_validation(fig3):
             with pytest.raises(InputError, match=rf"{name} must be an integer") as exc:
                 ScenarioConfig(**{"network": fig3, "n_vehicles": 3, "alpha": 1.0, name: bad})
             assert exc.value.subject == name
-    config = ScenarioConfig(network=fig3, n_vehicles=np.int64(3), alpha=1.0, seed=np.uint64(7))
+    config = ScenarioConfig(
+        network=fig3, n_vehicles=np.int64(3), alpha=np.float32(1.0), seed=np.uint64(7)
+    )
     for bad in (2.5, True, 0):
         with pytest.raises(ValueError, match=r"replications must be an integer >= 1"):
             sweep_alpha(config, [0.0], bad)
     assert sweep_alpha(config, [0.0], np.int64(2)).to_csv().splitlines()[1].startswith("0.0,2,")
 
 
-@pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+@pytest.mark.parametrize("alpha", [-1.0, float("nan"), "300", True, None])
 def test_sweep_rejects_bad_alpha(base_config, alpha):
-    with pytest.raises(InputError, match="alpha must be finite and >= 0") as exc:
+    with pytest.raises(InputError, match=rf"alpha must be finite and >= 0, got {alpha!r}") as exc:
         sweep_alpha(base_config, [alpha], 1)
     assert exc.value.subject == "alpha"
 

@@ -48,9 +48,50 @@ def test_vehicle_window_must_contain_preferred():
         Vehicle(1, "v2", 10.0, (20.0, 30.0))
 
 
+@pytest.mark.parametrize(
+    "vid, pref, window, pattern",
+    [
+        (0, 0.0, (0.0, 1.0), r"vehicle id must be an integer >= 1, got 0"),
+        (True, 0.0, (0.0, 1.0), r"vehicle id must be an integer >= 1, got True"),
+        (1.0, 0.0, (0.0, 1.0), r"vehicle id must be an integer >= 1, got 1\.0"),
+        ("1", 0.0, (0.0, 1.0), r"vehicle id must be an integer >= 1, got '1'"),
+        (1, "0", (0.0, 1.0),
+         r"vehicle 1: non-finite or non-number time bounds: preferred time '0', window"),
+        (1, None, (0.0, 1.0), r"vehicle 1: non-finite .* None, window \(0\.0, 1\.0\)"),
+        (1, 0.0, (False, 1.0), r"vehicle 1: non-finite .* 0\.0, window \(False, 1\.0\)"),
+        (1, 0.0, (0.0, 10**400), r"vehicle 1: non-finite or non-number time bounds"),
+        (1, 0.0, None, r"vehicle 1: window must be a \(lo, hi\) pair, got None"),
+        (1, 0.0, (0.0,), r"vehicle 1: window must be a \(lo, hi\) pair, got \(0\.0,\)"),
+    ],
+    ids=["id-zero", "id-bool", "id-float", "id-str", "pref-str", "pref-none", "lo-bool",
+         "hi-huge-int", "window-none", "window-single"],
+)
+def test_vehicle_rejects_non_numbers(vid, pref, window, pattern):
+    with pytest.raises(InputError, match=pattern) as exc:
+        Vehicle(vid, "v2", pref, window)
+    assert exc.value.subject == vid
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match="k_p"):
         ModelParams(k_p=-1.0)
+    for name, bad in (("k_p", None), ("k_t", "1"), ("k_p", True), ("k_t", 10**400)):
+        pattern = rf"{name} must be finite and >= 0, got {bad!r}"
+        with pytest.raises(InputError, match=pattern) as exc:
+            ModelParams(**{name: bad})
+        assert exc.value.subject == name
+
+
+def test_numpy_numbers_are_numbers(fig3, pair):
+    params = ModelParams(k_p=np.float32(5e-5), k_t=np.int64(0))
+    assert (params.k_p, params.k_t) == (float(np.float32(5e-5)), 0.0)
+    vehicles = [Vehicle(np.int64(1), "v4", np.float32(0.0), (np.float32(-500.0), 500))]
+    assert evaluate(Instance(fig3, vehicles, params), (0.0,)).utilities == (0.0,)
+    # the default model gives the bits of its float twin
+    twin = ModelParams(k_p=np.float64(5e-5), k_t=np.float32(0.015))
+    assert evaluate(Instance(fig3, pair.vehicles, twin), (0.0, 100.0)) == evaluate(
+        Instance(fig3, pair.vehicles, ModelParams(k_t=float(np.float32(0.015)))), (0.0, 100.0)
+    )
 
 
 def test_instance_rejects_bad_ids(fig3):
@@ -164,7 +205,11 @@ def test_penalty_sum_overflow_rejected(fig3):
     assert np.isfinite(cooperative_utility(inst, both_deviate))
 
 
-@pytest.mark.parametrize("bad", [None, "x", 10**400], ids=["None", "str", "int-overflow"])
+@pytest.mark.parametrize(
+    "bad",
+    [None, "x", 10**400, "0.5", True],
+    ids=["None", "str", "int-overflow", "str-number", "bool"],
+)
 def test_saving_rejected_naming_the_rate(fig3, bad):
     calls = []
 
@@ -189,7 +234,7 @@ def test_saving_error_propagates_unchanged(fig3):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, None, "x"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, None, "x", "1", True])
 def test_penalty_rejected_naming_vehicle_and_action(fig3, bad):
     # a NaN penalty used to reach an AssertionError inside the solvers
     params = ModelParams(penalty=lambda chosen, pref: 0.0 if chosen == pref else bad)

@@ -34,7 +34,7 @@ def test_single_edge_network_is_valid():
 def test_root_out_degree_two_rejected():
     with pytest.raises(ValueError, match="exactly one outgoing edge"):
         RoadNetwork([("v1", "v2", 10.0), ("v1", "v3", 10.0)], "v1")
-    with pytest.raises(ValueError, match="root v1 must have exactly one outgoing edge, found none"):
+    with pytest.raises(ValueError, match="v1 must have exactly one outgoing edge, found none"):
         RoadNetwork([("v2", "v3", 10.0)], "v1")
 
 
@@ -61,10 +61,14 @@ def test_cycle_rejected():
         RoadNetwork(CYCLE, "v1")
 
 
-@pytest.mark.parametrize("length", [0.0, -5.0, float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "length", [0.0, -5.0, float("inf"), float("nan"), "80000", True, "x", None]
+)
 def test_bad_length_rejected(length):
-    with pytest.raises(ValueError, match="positive finite length"):
+    pattern = rf"edge v1->v2 must have a positive finite length, got {length!r}"
+    with pytest.raises(ValueError, match=pattern) as exc:
         RoadNetwork([("v1", "v2", length)], "v1")
+    assert exc.value.subject == ("v1", "v2")
 
 
 def test_overflowing_road_length_rejected():
