@@ -30,7 +30,7 @@ class InputError(ValueError):
 
 
 def is_real(value) -> bool:
-    """True for a Python or numpy real number finite as a float, False for a bool."""
+    """True for a Python or numpy real, not a bool, that is finite as a float."""
     if type(value) is float:  # the common case, without the cost of the ABC check
         return math.isfinite(value)
     try:
