@@ -411,23 +411,39 @@ def test_brute_force_cap(fig3):
         brute_force_nash(inst, cap=1)
 
 
+def test_brute_force_rejects_more_axes_than_numpy_has(fig3):
+    # 65 vehicles with two actions each fit a raised cap, but not 64 array axes;
+    # their 2^65 profiles exceed numpy's index range, so the oracle says so
+    # before it allocates anything.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(65)]
+    inst = Instance(fig3, vehicles)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=rf"holds {2**65} profiles, within the cap {2**65} but too many"
+        ):
+            brute_force_nash(inst, cap=2**65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_brute_force_names_a_space_too_large_to_index(fig3):
-    # 2^63 profiles fit a raised cap and 64 axes, and 2^65 profiles fit the cap
-    # but not 64 axes; both exceed the largest array numpy can index, and the
-    # oracle says so before it allocates anything.
-    for n in (63, 65):
-        vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(n)]
-        inst = Instance(fig3, vehicles)
-        tracemalloc.start()
-        try:
-            with pytest.raises(
-                ValueError, match=rf"holds {2**n} profiles, within the cap {2**70} but too many"
-            ):
-                brute_force_nash(inst, cap=2**70)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+    # 2^63 profiles fit a raised cap and 64 axes, but exceed the largest array
+    # numpy can index: the oracle says so before it allocates anything.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(63)]
+    inst = Instance(fig3, vehicles)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=rf"holds {2**63} profiles, within the cap {2**70} but too many"
+        ):
+            brute_force_nash(inst, cap=2**70)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_brute_force_names_a_space_too_large_to_allocate(fig3):
