@@ -138,25 +138,22 @@ class Instance:
         ids = [v.id for v in self.vehicles]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"vehicle ids must be 1..N in order, got {ids}")
-        for v in self.vehicles:
-            if v.destination not in network.routes:
-                why = ("destination equals the origin" if v.destination == network.root
-                       else "unknown destination")
-                raise InputError(v.id, f"vehicle {v.id}: {why} {v.destination!r}")
-
-        self._routes: tuple[tuple[int, ...], ...] = tuple(
-            network.routes[v.destination] for v in self.vehicles
-        )
-        self._lengths = network.edge_lengths
+        self._lengths = lengths = network.edge_lengths
         self._pref: tuple[float, ...] = tuple(float(v.preferred_time) for v in self.vehicles)
         self._all_times: tuple[float, ...] = tuple(sorted(set(self._pref)))
         times = self._all_times
+        self._f, self._r, self._g, self._dg = _saving_tables(self.params, len(self.vehicles))
+        f1 = self._f[1]
         pen = self.params.penalty
         k_t = self.params.k_t
-        actions = []
-        pens = []
+        routes, actions, pens, alone = [], [], [], []
         worst = 0.0  # the sum of every vehicle's largest penalty
         for v, pref in zip(self.vehicles, self._pref):
+            route = network.routes.get(v.destination)
+            if route is None:
+                why = ("destination equals the origin" if v.destination == network.root
+                       else "unknown destination")
+                raise InputError(v.id, f"vehicle {v.id}: {why} {v.destination!r}")
             lo, hi = v.window
             acts = times[bisect_left(times, lo):bisect_right(times, hi)]
             # the default penalty's own expression, so the same bits
@@ -168,19 +165,29 @@ class Instance:
                         f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
                         "must be finite and >= 0"
                     )
+            total = 0.0
+            for e in route:
+                total += f1 * lengths[e]
+            routes.append(route)
             actions.append(acts)
             pens.append(row)
+            alone.append(total)
             worst += max(row)
+        self._routes: tuple[tuple[int, ...], ...] = tuple(routes)
         self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
         #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
-        self._f, self._r, self._g, self._dg = _saving_tables(self.params, len(self.vehicles))
+        #: ``_alone[idx] = sum f(1) d(e)`` over vehicle ``idx``'s route in route
+        #: order: the saving term of every departure time nobody occupies and,
+        #: as ``dg(1) = f(1)`` holds bit for bit, the common-utility gain of
+        #: joining one.
+        self._alone: tuple[float, ...] = tuple(alone)
         # Every saving sum (a utility, the potential, the common utility) is
         # at most N * max(f) * (total edge length), and every penalty sum at
         # most ``worst``; their sum bounds every value the solvers compare.
         # Multiplying N * max(f) first also rejects an infinite g(N).
         top = max(self._f)
-        road = sum(self._lengths)
+        road = network.road_length
         savings = len(self.vehicles) * top * road
         if not isfinite(savings):
             why = f"{len(self.vehicles)} vehicles x max f {top!r} x {road!r} m of road is not finite"
@@ -195,19 +202,6 @@ class Instance:
             if pen is None:
                 raise InputError("k_t", f"k_t {k_t!r} overflows the penalty sums: {why}")
             raise ValueError(f"the custom deviation penalty overflows the penalty sums: {why}")
-        #: ``_alone[idx] = sum f(1) d(e)`` over vehicle ``idx``'s route in route
-        #: order: the saving term of every departure time nobody occupies and,
-        #: as ``dg(1) = f(1)`` holds bit for bit, the common-utility gain of
-        #: joining one.
-        f1 = self._f[1]
-        lengths = self._lengths
-        alone = []
-        for route in self._routes:
-            total = 0.0
-            for e in route:
-                total += f1 * lengths[e]
-            alone.append(total)
-        self._alone: tuple[float, ...] = tuple(alone)
 
     @property
     def n_vehicles(self) -> int:

@@ -57,12 +57,13 @@ class RoadNetwork:
     Node ids are opaque strings.  Edges are ``(tail, head, length_meters)``
     triples and are identified by their ``(tail, head)`` pair; every length is
     a positive real number, kept as a float, their running sum in declaration
-    order is finite, and the nodes are the root and every edge endpoint.  The
-    root has no incoming edge and exactly one outgoing edge; every other node
-    has exactly one incoming edge.  Construction validates all of this and
-    precomputes the route to every node: ``routes[node]`` holds the positions
-    into ``edges`` of the route from the root, in travel order, so its keys
-    are exactly the nodes other than the root: the valid destinations.
+    order, ``road_length``, is finite, and the nodes are the root and every
+    edge endpoint.  The root has no incoming edge and exactly one outgoing
+    edge; every other node has exactly one incoming edge.  Construction
+    validates all of this and precomputes the route to every node:
+    ``routes[node]`` holds the positions into ``edges`` of the route from the
+    root, in travel order, so its keys are exactly the nodes other than the
+    root: the valid destinations.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str, float]], root: str):
@@ -75,9 +76,9 @@ class RoadNetwork:
             (self.root, *(n for t, h, _ in self.edges for n in (t, h)))
         )
         self.edge_lengths: tuple[float, ...] = tuple(d for _, _, d in self.edges)
-        self.routes: dict[str, tuple[int, ...]] = self._validate()
+        self.routes, self.road_length = self._validate()
 
-    def _validate(self) -> dict[str, tuple[int, ...]]:
+    def _validate(self) -> tuple[dict[str, tuple[int, ...]], float]:
         # Duplicates go first: every later per-edge error then names an edge
         # that occurs once, so its subject identifies a single declaration.
         seen: set[tuple[str, str]] = set()
@@ -152,7 +153,7 @@ class RoadNetwork:
                 cur = self.edges[k][0]
             chain.reverse()
             routes[node] = tuple(chain)
-        return routes
+        return routes, road
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoadNetwork):
