@@ -453,9 +453,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="comma list or start:stop:step (default 0:1500:150)")
     p_sweep.add_argument("--reps", type=int, default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--halfwidth", type=float, default=500.0)
-    p_sweep.add_argument("--kp", type=float, default=5e-5)
-    p_sweep.add_argument("--kt", type=float, default=1.5e-2)
+    p_sweep.add_argument("--halfwidth", type=float, default=ScenarioConfig.window_halfwidth)
+    p_sweep.add_argument("--kp", type=float, default=ModelParams.k_p)
+    p_sweep.add_argument("--kt", type=float, default=ModelParams.k_t)
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 

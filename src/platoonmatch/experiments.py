@@ -62,8 +62,8 @@ class ScenarioConfig:
                 f"not the string {self.destination_pool!r}"
             )
         pool = tuple(self.destination_pool) or tuple(sorted(self.network.routes))
-        for node in pool:
-            if node not in self.network.routes:
+        for node in pool:  # every key of ``routes`` is a string
+            if not (isinstance(node, str) and node in self.network.routes):
                 why = ("must not contain the root" if node == self.network.root
                        else f"references unknown node {node!r}")
                 raise InputError("destination_pool", f"destination pool {why}")

@@ -149,7 +149,8 @@ class Instance:
         routes, actions, pens, alone = [], [], [], []
         worst = 0.0  # the sum of every vehicle's largest penalty
         for v, pref in zip(self.vehicles, self._pref):
-            route = network.routes.get(v.destination)
+            # every key of ``routes`` is a string, so no other value is a destination
+            route = network.routes.get(v.destination) if isinstance(v.destination, str) else None
             if route is None:
                 why = ("destination equals the origin" if v.destination == network.root
                        else "unknown destination")
@@ -239,8 +240,8 @@ class Outcome:
 
 
 def _index_of(instance: Instance, vehicle_id: int) -> int:
-    if not 1 <= vehicle_id <= instance.n_vehicles:
-        raise ValueError(f"no vehicle with id {vehicle_id}")
+    if not (is_count(vehicle_id) and 1 <= vehicle_id <= instance.n_vehicles):
+        raise ValueError(f"no vehicle with id {vehicle_id!r}")
     return vehicle_id - 1
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import game
 from .game import Instance, Profile
-from .network import is_real
+from .network import is_count, is_real
 
 #: Gains at or below this threshold count as floating-point noise: a vehicle
 #: keeps its current action unless some alternative beats it by more.
@@ -167,9 +167,9 @@ def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
     """All pure Nash equilibria, by checking every profile of the space at once.
 
-    Raises ValueError when the profile space exceeds ``cap``, or when its
-    arrays do not fit in memory or in numpy's index range.  Never empty:
-    a finite exact potential game always has a pure NE.
+    Raises ValueError when ``cap`` is not an integer, when the profile space
+    exceeds it, or when its arrays do not fit in memory or in numpy's index
+    range.  Never empty: a finite exact potential game always has a pure NE.
 
     Each vehicle with more than one action gets one numpy axis, holding the
     slot in ``_all_times`` of each of its actions, so the axes together span
@@ -191,6 +191,8 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     each, where a table is as large as the mates' space (nested routes on a
     path: 0.07 s for 2**18 profiles on a 2-vCPU VM).
     """
+    if not is_count(cap):
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     actions = instance._actions
     size = math.prod(len(a) for a in actions)
     if size > cap:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -52,8 +53,11 @@ def test_config_validation(fig3):
         ScenarioConfig(network=fig3, n_vehicles=0, alpha=1.0)
     with pytest.raises(ValueError, match="root"):
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=("v1",))
-    with pytest.raises(ValueError, match="unknown node"):
-        ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=("zz",))
+    for bad in ("zz", ["v2"]):  # a list cannot be a key of ``routes``
+        message = f"destination pool references unknown node {bad!r}"
+        with pytest.raises(InputError, match=re.escape(message)) as exc:
+            ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool=(bad,))
+        assert exc.value.subject == "destination_pool"
     with pytest.raises(InputError, match="a destination pool is a sequence of node ids") as exc:
         ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.0, destination_pool="v4")
     assert exc.value.subject == "destination_pool"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from platoonmatch import (
     Instance,
     ModelParams,
     Vehicle,
+    best_response,
     cooperative_utility,
     evaluate,
     feasible_actions,
@@ -106,9 +108,13 @@ def test_instance_rejects_root_destination(fig3):
         Instance(fig3, [Vehicle(1, "v1", 0.0, (-1.0, 1.0))])
 
 
-def test_instance_rejects_unknown_destination(fig3):
-    with pytest.raises(ValueError, match="unknown destination"):
-        Instance(fig3, [Vehicle(1, "v99", 0.0, (-1.0, 1.0))])
+@pytest.mark.parametrize("destination", ["v99", ["v2"]])
+def test_instance_rejects_unknown_destination(fig3, destination):
+    # a list cannot be a key of ``routes``, so it is an unknown destination too
+    message = f"vehicle 1: unknown destination {destination!r}"
+    with pytest.raises(InputError, match=re.escape(message)) as exc:
+        Instance(fig3, [Vehicle(1, destination, 0.0, (-1.0, 1.0))])
+    assert exc.value.subject == 1
 
 
 def test_profile_validation(pair):
@@ -120,9 +126,13 @@ def test_profile_validation(pair):
             vehicle_utility(pair, (0.0, bad), 1)
     with pytest.raises(ValueError, match="entries"):
         vehicle_utility(pair, (0.0,), 1)
-    for vid in (0, 3):
-        with pytest.raises(ValueError, match=f"no vehicle with id {vid}"):
+    for vid in (0, 3, "1", 1.0, True, None):
+        with pytest.raises(ValueError, match=re.escape(f"no vehicle with id {vid!r}")):
             vehicle_utility(pair, (0.0, 100.0), vid)
+        with pytest.raises(ValueError, match=re.escape(f"no vehicle with id {vid!r}")):
+            feasible_actions(pair, vid)
+        with pytest.raises(ValueError, match=re.escape(f"no vehicle with id {vid!r}")):
+            best_response(pair, (0.0, 100.0), vid)
 
 
 def test_saving_rate_bound_enforced(fig3):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -409,6 +410,9 @@ def test_brute_force_cap(fig3):
     inst = same_dest_pair(fig3)
     with pytest.raises(ValueError, match="cap"):
         brute_force_nash(inst, cap=1)
+    for bad in ("x", None, 2.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"cap must be an integer, got {bad!r}")):
+            brute_force_nash(inst, cap=bad)
 
 
 def test_brute_force_rejects_more_axes_than_numpy_has(fig3):
