@@ -34,7 +34,7 @@ Profile = Sequence[float]
 
 @dataclass(frozen=True)
 class Vehicle:
-    """One truck: integer id >= 1, destination, preferred time in its window ``(lo, hi)``."""
+    """One truck: integer id >= 1, destination, preferred time in its finite window ``(lo, hi)``."""
 
     id: int
     destination: str
@@ -58,6 +58,9 @@ class Vehicle:
                 f"vehicle {self.id}: preferred time {self.preferred_time} "
                 f"outside window [{lo}, {hi}]"
             )
+        if not isfinite(float(hi) - float(lo)):  # so no time gap in it overflows
+            raise InputError(self.id, f"vehicle {self.id}: window [{lo}, {hi}] is too wide: "
+                             "its width hi - lo is not finite")
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,10 @@ class ModelParams:
     by default ``k_t * |chosen - preferred|``.  ``Instance`` evaluates the
     penalty once per feasible action and the saving once per platoon size up
     to N and model object, whose tables stay on the model outside its fields.
-    It checks that each value is finite and nonnegative and that every sum
-    stays finite; a saving sum is at most N * max f * road length.
+    A custom value must pass ``nonnegative_float``; a default one lies in
+    ``[0, inf]``, as windows have a finite width.  Every sum must stay finite,
+    which names ``k_p`` or ``k_t`` for an infinite default value; a saving sum
+    is at most N * max f * road length.
     """
 
     k_p: float = 5e-5
@@ -86,28 +91,22 @@ class ModelParams:
         object.__setattr__(self, "_tables", {})  # n -> _saving_tables(self, n)
 
 
-def _number(value):
-    """``float(value)`` for a number under ``is_real``, else ``value`` for the caller to reject."""
-    return float(value) if is_real(value) else value
-
-
 def _saving_tables(params: ModelParams, n: int) -> tuple[tuple[float, ...], ...]:
     """``(f, r, g, dg)`` up to ``n`` members, built once per model object and size
     into ``params._tables``; an error is not kept, so each instance of a bad model
     raises it again.  ``f`` is the saving rate and ``r`` its running sum; ``g[m] =
     m f(m)`` is the total rate of an edge carrying m platoon members and ``dg[m] =
     g(m) - g(m-1)`` the common-utility rate that an edge gains with its m-th member.
+    Only a custom rate is checked here, by ``nonnegative_float``.
     """
     if n in params._tables:
         return params._tables[n]
     f = [0.0] * (n + 1)
     r = [0.0] * (n + 1)
     for m in range(1, n + 1):
-        val = params.k_p * (m - 1) / m if params.saving is None else _number(params.saving(m))
-        if not (isinstance(val, float) and isfinite(val) and val >= -1e-12):
-            raise ValueError(f"saving rate f({m})={val!r} must be finite and >= 0")
-        f[m] = val
-        r[m] = r[m - 1] + val
+        f[m] = (params.k_p * (m - 1) / m if params.saving is None
+                else nonnegative_float(f"saving rate f({m})", params.saving(m)))
+        r[m] = r[m - 1] + f[m]
     g = tuple(m * val for m, val in enumerate(f))
     dg = (0.0,) + tuple(b - a for a, b in zip(g, g[1:]))
     params._tables[n] = tables = tuple(f), tuple(r), g, dg
@@ -158,14 +157,9 @@ class Instance:
             lo, hi = v.window
             acts = times[bisect_left(times, lo):bisect_right(times, hi)]
             # the default penalty's own expression, so the same bits
-            row = tuple([k_t * abs(a - pref) for a in acts] if pen is None else
-                        [_number(pen(a, pref)) for a in acts])
-            for a, p in zip(acts, row):
-                if not (isinstance(p, float) and 0.0 <= p < inf):
-                    raise ValueError(
-                        f"vehicle {v.id}: deviation penalty {p!r} for action {a!r} "
-                        "must be finite and >= 0"
-                    )
+            row = tuple([k_t * abs(a - pref) for a in acts] if pen is None else [
+                nonnegative_float(f"vehicle {v.id}: deviation penalty for action {a!r}",
+                                  pen(a, pref)) for a in acts])
             total = 0.0
             for e in route:
                 total += f1 * lengths[e]
@@ -186,7 +180,8 @@ class Instance:
         # Every saving sum (a utility, the potential, the common utility) is
         # at most N * max(f) * (total edge length), and every penalty sum at
         # most ``worst``; their sum bounds every value the solvers compare.
-        # Multiplying N * max(f) first also rejects an infinite g(N).
+        # Multiplying N * max(f) first also rejects an infinite g(N), and an
+        # infinite default rate or penalty is rejected here as ``k_p`` or ``k_t``.
         top = max(self._f)
         road = network.road_length
         savings = len(self.vehicles) * top * road

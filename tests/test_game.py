@@ -136,8 +136,9 @@ def test_profile_validation(pair):
 
 def test_saving_rate_bound_enforced(fig3):
     params = ModelParams(saving=lambda n: -0.5 * n)
+    pattern = r"saving rate f\(1\) must be finite and >= 0, got -0\.5"
     for _ in range(2):  # every instance built with the model raises, not only the first
-        with pytest.raises(ValueError, match=r"saving rate f\(1\)=-0\.5 must be finite and >= 0"):
+        with pytest.raises(ValueError, match=pattern):
             Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))] , params)
 
 
@@ -170,10 +171,9 @@ def test_default_penalty_overflow_rejected(fig3):
         Vehicle(1, "v4", -1e300, (-1e300, 1e300)),
         Vehicle(2, "v5", 1e300, (-1e300, 1e300)),
     ]
-    with pytest.raises(
-        ValueError, match=r"vehicle 1: deviation penalty inf .* must be finite and >= 0"
-    ):
+    with pytest.raises(InputError, match=r"k_t 10000000000\.0 overflows the penalty sums") as exc:
         Instance(fig3, vehicles, ModelParams(k_t=1e10))
+    assert exc.value.subject == "k_t"
 
 
 @pytest.mark.parametrize(
@@ -226,7 +226,8 @@ def test_saving_rejected_naming_the_rate(fig3, bad):
         calls.append(n)
         return bad
 
-    with pytest.raises(ValueError, match=rf"saving rate f\(1\)={bad!r} must be finite and >= 0"):
+    pattern = rf"saving rate f\(1\) must be finite and >= 0, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=pattern):
         Instance(fig3, [Vehicle(1, "v2", 0.0, (0.0, 0.0))], ModelParams(saving=saving))
     assert calls == [1]
 
@@ -251,7 +252,9 @@ def test_penalty_rejected_naming_vehicle_and_action(fig3, bad):
         Vehicle(1, "v4", 0.0, (-500.0, 500.0)),
         Vehicle(2, "v5", 100.0, (-400.0, 600.0)),
     ]
-    with pytest.raises(ValueError, match=rf"vehicle 1: deviation penalty {bad!r} for action 100\.0"):
+    pattern = (r"vehicle 1: deviation penalty for action 100\.0 must be finite and >= 0, "
+               rf"got {re.escape(repr(bad))}$")
+    with pytest.raises(ValueError, match=pattern):
         Instance(fig3, vehicles, params)
 
 
