@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 from dataclasses import dataclass, fields, replace
 
@@ -32,7 +33,8 @@ class ScenarioConfig:
     """Inputs of the random scenario generator.
 
     ``n_vehicles`` and ``seed`` are integers (Python or numpy, not bool),
-    ``alpha`` and ``window_halfwidth`` finite real numbers >= 0, and
+    ``alpha`` and ``window_halfwidth`` finite real numbers >= 0 whose
+    ``alpha + 2 * window_halfwidth`` is finite (so is every window's width), and
     ``destination_pool`` a sequence of keys of ``network.routes`` (an empty
     one means all of them, in sorted id order).
     """
@@ -52,8 +54,12 @@ class ScenarioConfig:
             )
         if self.n_vehicles < 1:
             raise InputError("n_vehicles", f"n_vehicles must be >= 1, got {self.n_vehicles}")
-        for name in ("alpha", "window_halfwidth"):
-            nonnegative_float(name, getattr(self, name))
+        alpha, h = (nonnegative_float(name, getattr(self, name))
+                    for name in ("alpha", "window_halfwidth"))
+        # bounds every window (t - h, t + h) and its width, for t in [0, alpha]
+        if not math.isfinite((alpha + h) + h):
+            raise InputError("window_halfwidth", f"window_halfwidth {h!r} is too large for "
+                             f"alpha {alpha!r}: alpha + 2 * window_halfwidth is not finite")
         if not (is_count(self.seed) and 0 <= self.seed < 1 << 64):
             raise InputError("seed", f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if isinstance(self.destination_pool, str):
@@ -181,13 +187,13 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     """
     if not (is_count(replications) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
-    # every alpha is checked before the first replication runs
+    # every alpha, and its config, is checked before the first replication runs
     alphas = sorted({nonnegative_float("alpha", a) for a in alphas})
     if not alphas:
         raise ValueError("alphas must hold at least one value")
+    configs = [replace(config, alpha=alpha) for alpha in alphas]
     rows = []
-    for alpha in alphas:
-        alpha_config = replace(config, alpha=alpha)
+    for alpha, alpha_config in zip(alphas, configs):
         samples = []
         for rep in range(replications):
             seed = replication_seed(config.seed, alpha, rep)

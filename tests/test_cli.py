@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import gc
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonmatch import (
     Instance, ModelParams, RoadNetwork, Vehicle, default_alpha_grid, experiments, paper_fig3,
@@ -132,6 +136,20 @@ def test_parse_rejects_missing_network(tmp_path):
         load_scenario(bad)
 
 
+@pytest.fixture()
+def replications(monkeypatch):
+    """The instances that ``experiments.run_replication`` is called with."""
+    runs = []
+    real = experiments.run_replication
+
+    def counted(instance):
+        runs.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(experiments, "run_replication", counted)
+    return runs
+
+
 def assert_rejected(tmp_path, capsys, scenario, argv, pattern):
     """The CLI exits 1 with one ``error:`` line matching ``pattern``; with a
     ``scenario`` text, ``argv`` follows ``solve <file>``."""
@@ -187,16 +205,35 @@ GEN = FIG3 + "generate n 3\n"
         (GEN + "generate alpha 100\ngenerate seed 18446744073709551616\n", (),
          r"line 4: seed must be an integer in \[0, 2\*\*64\)"),
         (None, ("sweep", "--alphas", "0:10:0"), r"alpha step must be > 0, got 0\.0"),
+        # an infinite default saving rate f(3) or penalty is named as its parameter
+        (FIG3 + "param k_p 1e308\nvehicle v4 0 -10 10\nvehicle v5 0 -10 10\n"
+         "vehicle v9 0 -10 10\n", (), r"line 2: k_p 1e\+308 overflows the saving sums"),
+        (FIG3 + "param k_t 1e300\nvehicle v4 0 0 2e10\nvehicle v5 2e10 0 2e10\n", (),
+         r"line 2: k_t 1e\+300 overflows the penalty sums"),
+        # finite bounds whose width is not: its zero-rate penalties would be NaN
+        (FIG3 + "param k_t 0\nvehicle v4 0 -1.7e308 1.7e308\n", (),
+         r"line 3: vehicle 1: window \[-1\.7e\+308, 1\.7e\+308\] is too wide"),
+        (GEN + "generate alpha 1.7e308\ngenerate halfwidth 1e308\n", (),
+         r"line 4: window_halfwidth 1e\+308 is too large for alpha 1\.7e\+308"),
+        (None, ("sweep", "--n", "10", "--alphas", "0,300,600,1.7e308", "--halfwidth", "1e308"),
+         r"window_halfwidth 1e\+308 is too large for alpha 0\.0"),
+        # the base config holds, the last alpha's does not
+        (None, ("sweep", "--n", "10", "--alphas", "0,300,600,1.7e308", "--halfwidth", "5e307"),
+         r"window_halfwidth 5e\+307 is too large for alpha 1\.7e\+308"),
     ],
     ids=["edge-inf", "k_p-inf", "k_t-nan", "window-inf", "alpha-nan", "alpha-inf",
          "halfwidth-inf", "n-zero", "sweep-alpha-inf", "sweep-halfwidth-inf",
          "sweep-k_p-overflow", "k_t-overflow", "sweep-alphas-empty", "sweep-alphas-empty-range",
          "sweep-alphas-word", "sweep-alphas-range-word", "sweep-alphas-list-word",
          "sweep-alphas-stuck-range", "sweep-alphas-huge-range", "sweep-seed-2**64",
-         "generate-seed-2**64", "sweep-alphas-zero-step"],
+         "generate-seed-2**64", "sweep-alphas-zero-step", "k_p-rate-inf", "k_t-penalty-inf",
+         "window-too-wide", "generate-window-too-wide", "sweep-halfwidth-too-large",
+         "sweep-halfwidth-too-large-last-alpha"],
 )
-def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pattern):
+def test_rejection_names_its_input_and_line(tmp_path, capsys, replications, scenario, argv,
+                                            pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
+    assert replications == []  # a sweep checks all of its input before the first replication
 
 
 @pytest.mark.parametrize(
@@ -228,6 +265,56 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, scenario, argv, pa
 )
 def test_rejection_anchors(tmp_path, capsys, scenario, argv, pattern):
     assert_rejected(tmp_path, capsys, scenario, argv, pattern)
+
+
+#: zero, everyday magnitudes and the top of the float range
+EXTREME = st.one_of(st.just(0.0), st.floats(1e-3, 1e4), st.floats(1e290, 1.7e308))
+SIGNED = st.builds(lambda x, negative: -x if negative else x, EXTREME, st.booleans())
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """A scenario with both params declared and either vehicles whose window
+    bounds and preferred time come from ``SIGNED``, or a generate section."""
+    lines = [FIG3.strip(), f"param k_p {draw(EXTREME)!r}", f"param k_t {draw(EXTREME)!r}"]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 4))):
+            lo, pref, hi = sorted(draw(st.lists(SIGNED, min_size=3, max_size=3)))
+            node = draw(st.sampled_from(["v4", "v5", "v7", "v9"]))
+            lines.append(f"vehicle {node} {pref!r} {lo!r} {hi!r}")
+    else:
+        lines += [f"generate n {draw(st.integers(1, 4))}", f"generate alpha {draw(EXTREME)!r}",
+                  f"generate halfwidth {draw(EXTREME)!r}",
+                  f"generate seed {draw(st.integers(0, 2**16))}"]
+    return "\n".join(lines) + "\n"
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_scenarios())
+def test_extreme_numbers_solve_or_name_their_line(tmp_path_factory, text):
+    """A scenario either solves to finite numbers or is rejected at a line it declares."""
+    path = tmp_path_factory.getbasetemp() / "extreme.scn"
+    path.write_text(text)
+    n_lines = text.count("\n")
+    for mode in ("ne", "coop"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path), "--mode", mode])
+        if code == 0:
+            assert err.getvalue() == ""
+            assert all(math.isfinite(x) for x in _numbers(json.loads(out.getvalue())))
+        else:
+            match = re.fullmatch(r"error: line (\d+): [^\n]*\n", err.getvalue())
+            assert (code, out.getvalue()) == (1, "") and match, err.getvalue()
+            assert 1 <= int(match[1]) <= n_lines
 
 
 ROOT_V1 = "network root v1\n"
@@ -546,17 +633,9 @@ def test_alpha_range_keeps_its_values_up_to_the_limit():
     [("", r"alphas must hold at least one value"), ("0,300,inf", r"alpha must be finite")],
     ids=["empty", "inf-last"],
 )
-def test_sweep_rejects_alphas_before_any_replication(capsys, monkeypatch, alphas, pattern):
-    runs = []
-    real = experiments.run_replication
-
-    def counted(instance):
-        runs.append(instance)
-        return real(instance)
-
-    monkeypatch.setattr(experiments, "run_replication", counted)
+def test_sweep_rejects_alphas_before_any_replication(capsys, replications, alphas, pattern):
     code, out, err = run_cli(capsys, "sweep", "--n", "2", "--reps", "3", "--alphas", alphas)
-    assert (code, out, len(runs)) == (1, "", 0)
+    assert (code, out, len(replications)) == (1, "", 0)
     assert re.fullmatch(rf"error: {pattern}[^\n]*\n", err), err
 
 

@@ -49,6 +49,14 @@ def test_config_validation(fig3):
         with pytest.raises(InputError, match=pattern) as exc:
             ScenarioConfig(**{"network": fig3, "n_vehicles": 3, "alpha": 1.0, name: bad})
         assert exc.value.subject == name
+    # a window t +- h for t in [0, alpha] must have a finite width
+    for alpha, h in ((0.0, 1e308), (1.7e308, 5e307)):
+        message = f"window_halfwidth {h!r} is too large for alpha {alpha!r}"
+        with pytest.raises(InputError, match=re.escape(message)) as exc:
+            ScenarioConfig(network=fig3, n_vehicles=3, alpha=alpha, window_halfwidth=h)
+        assert exc.value.subject == "window_halfwidth"
+    wide = ScenarioConfig(network=fig3, n_vehicles=3, alpha=1.7e308, window_halfwidth=4e306)
+    assert generate_scenario(wide).n_vehicles == 3
     with pytest.raises(ValueError, match="n_vehicles"):
         ScenarioConfig(network=fig3, n_vehicles=0, alpha=1.0)
     with pytest.raises(ValueError, match="root"):

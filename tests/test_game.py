@@ -64,9 +64,12 @@ def test_vehicle_window_must_contain_preferred():
         (1, 0.0, (0.0, 10**400), r"vehicle 1: non-finite or non-number time bounds"),
         (1, 0.0, None, r"vehicle 1: window must be a \(lo, hi\) pair, got None"),
         (1, 0.0, (0.0,), r"vehicle 1: window must be a \(lo, hi\) pair, got \(0\.0,\)"),
+        # finite bounds, but a width of inf: its penalties could be NaN
+        (1, 0.0, (-1.7e308, 1.7e308),
+         r"vehicle 1: window \[-1\.7e\+308, 1\.7e\+308\] is too wide: its width hi - lo is not"),
     ],
     ids=["id-zero", "id-bool", "id-float", "id-str", "pref-str", "pref-none", "lo-bool",
-         "hi-huge-int", "window-none", "window-single"],
+         "hi-huge-int", "window-none", "window-single", "window-too-wide"],
 )
 def test_vehicle_rejects_non_numbers(vid, pref, window, pattern):
     with pytest.raises(InputError, match=pattern) as exc:
