@@ -11,6 +11,10 @@ Reproducibility: every replication derives its own seed from
 bit pattern of ``alpha``, and the replication index.  Replications are
 therefore independent of evaluation order, and repeated sweeps with the
 same arguments produce byte-identical CSV.
+
+numpy (the generator, the sweep's mean/std and the Spearman trend) is
+imported only inside the functions that use it, so importing this module,
+as the CLI does at start-up, does not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import io
 import math
 import struct
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
 
 from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
@@ -81,6 +83,7 @@ def generate_scenario(config: ScenarioConfig) -> Instance:
 
     Draw order: all destinations first, then all preferred times.
     """
+    import numpy as np
     rng = np.random.default_rng(config.seed)
     pool = config.destination_pool
     picks = rng.integers(0, len(pool), size=config.n_vehicles)
@@ -124,6 +127,7 @@ def _metrics(instance: Instance, report: solvers.SolveReport) -> ReplicationMetr
 def replication_seed(root_seed: int, alpha: float, rep: int) -> int:
     """Per-replication generator seed: root seed mixed with alpha's bit pattern
     and the replication index, so any single replication can be reproduced."""
+    import numpy as np
     alpha_bits = struct.unpack("<Q", struct.pack("<d", float(alpha)))[0]
     ss = np.random.SeedSequence([root_seed, alpha_bits, rep])
     return int(ss.generate_state(1, np.uint64)[0])
@@ -175,6 +179,7 @@ def _fmt(x: float) -> str:
 
 
 def _mean_std(xs: list[float]) -> tuple[float, float]:
+    import numpy as np
     arr = np.asarray(xs, dtype=float)
     return float(arr.mean()), float(arr.std())
 
@@ -211,6 +216,7 @@ def _spearman(a, b) -> float:
     """``scipy.stats.spearmanr(a, b).statistic`` bit for bit: average 1-based ranks,
     then the stacked-column ``np.corrcoef`` that spearmanr calls.  NaN with fewer
     than two observations, a constant input or any NaN value."""
+    import numpy as np
     x = np.column_stack((a, b))
     if len(x) <= 1 or np.isnan(x).any() or (x == x[0]).all(axis=0).any():
         return float("nan")

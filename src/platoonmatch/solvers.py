@@ -9,6 +9,8 @@ profile; the cooperative solver starts from the selfish equilibrium and
 refines it.  Because the game is a finite exact potential game and every
 accepted move strictly improves the active objective, termination is
 guaranteed; the iteration cap only exists to turn a bug into a loud error.
+The solvers are plain Python; numpy is imported only inside the oracle
+``brute_force_nash``, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from . import game
 from .game import Instance, Profile
@@ -202,6 +202,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
         f"profile space holds {size} profiles, within the cap {cap} but too "
         "many to check as arrays in this memory; lower the cap"
     )
+    import numpy as np
     # numpy refuses such shapes with its own error.  A mover has two actions or
     # more, so this also refuses more movers than numpy 2's 64 axes can hold.
     if size > np.iinfo(np.intp).max:

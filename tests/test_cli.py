@@ -683,13 +683,30 @@ def test_module_entry_points_agree():
     assert outputs[0] == outputs[1]
 
 
-def test_startup_does_not_import_scipy():
+#: Prints, after the code before it, every numpy and scipy module it loaded.
+LOADED_HEAVY = (
+    "import sys\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')),"
+    " file=sys.stderr)\n"
+)
+
+
+def test_startup_imports_neither_numpy_nor_scipy():
     proc = run_python(
         "-c",
-        "import sys\n"
         "from platoonmatch.cli import PRESETS\n"
-        "PRESETS['paper-fig3']()\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "PRESETS['paper-fig3']()\n" + LOADED_HEAVY,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stderr == "[]\n"
+
+
+def test_solving_a_written_scenario_never_loads_numpy():
+    proc = run_python(
+        "-c",
+        "from platoonmatch import cli\n"
+        "assert cli.main(['solve', 'scenarios/two-vehicles.scn']) == 0\n" + LOADED_HEAVY,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / "solve_two-vehicles_ne.json").read_text()
+    assert proc.stderr == "[]\n"
