@@ -9,7 +9,7 @@ shows up here as a byte difference.  Four hash pins extend this to a
 generated N=200 solve, to a few thousand random profiles, to what the
 kernel's scan returns for each vehicle of those kinds of profiles under
 both objectives and to the equilibrium sets of a few hundred random
-instances.  The last test holds the oracle's memory on its three large
+instances.  The last test holds the oracle's memory on its four large
 pinned spaces to 40 bytes per profile.
 """
 
@@ -238,10 +238,24 @@ def _fig3_n18():
     return _two_times(paper_fig3(), [dests[i % len(dests)] for i in range(18)])
 
 
+def _one_mate_pairs():
+    # Pair p shares the times 1000p and 1000p + 100 and no other, so each of
+    # its two vehicles has one mate; the last vehicle holds time 0 alone in
+    # its window and only adds a head to pair 0's routes: 2^18 profiles.
+    dests = [f"v{k}" for k in range(2, 14)]
+    vehicles = [
+        Vehicle(i + 1, dests[i % len(dests)], 1000.0 * (i // 2) + 100.0 * (i % 2),
+                (1000.0 * (i // 2) - 50.0, 1000.0 * (i // 2) + 150.0))
+        for i in range(18)
+    ]
+    return Instance(paper_fig3(), vehicles + [Vehicle(19, "v13", 0.0, (-10.0, 10.0))])
+
+
 LARGE_ORACLE_INPUTS = {
     "generated-n7": _generated_n7,
     "nested-path-n18": _nested_path_n18,
     "fig3-n18": _fig3_n18,
+    "one-mate-pairs": _one_mate_pairs,
 }
 
 
@@ -251,7 +265,7 @@ def _profile_lines(equilibria) -> str:
 
 @pytest.mark.parametrize("name", LARGE_ORACLE_INPUTS)
 def test_oracle_large_spaces_match_golden(name):
-    """Sorted equilibria of three large profile spaces, one per line."""
+    """Sorted equilibria of four large profile spaces, one per line."""
     equilibria = brute_force_nash(LARGE_ORACLE_INPUTS[name]())
     golden = GOLDEN / f"oracle_large_{name}.txt"
     assert _profile_lines(equilibria) == golden.read_text()
