@@ -184,12 +184,22 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     order adding ``f[n(e)] * d(e)``, minus the penalty.  Each profile's
     index into the table is summed from broadcast slot comparisons, and one
     lookup scores the vehicle; it is stable where no action beats that by
-    more than GAIN_EPS.  Each product, sum and comparison is the IEEE
-    operation the kernel makes, in the kernel's order, so the set has the
-    kernel's bits.  The arrays peak at 11-24 bytes per profile, so the cap
-    also bounds memory.  Time is worst with one mate per depth, two actions
-    each, where a table is as large as the mates' space (nested routes on a
-    path: 0.07 s for 2**18 profiles on a 2-vCPU VM).
+    more than GAIN_EPS.
+
+    The vehicles are scored one after another, and few profiles stay stable
+    for all of the first ones.  Once scoring a list of the profiles left
+    (``width * (mates + 1)`` codes each, plus one action index per mover)
+    costs less than the space, they are listed: each mover's action index
+    in each of them, in the smallest dtype that fits.  Every later vehicle
+    is scored on that list alone, with the same table, one gather and the
+    same test, and the profiles it finds unstable are dropped.  Each
+    product, sum and comparison is the IEEE operation the kernel makes, in
+    the kernel's order, so the set has the kernel's bits.  The arrays peak
+    at 6-24 bytes per profile (24 where ties keep every profile to the last
+    vehicle), so the cap also bounds memory.  Time is worst with one mate
+    per depth, two actions each, where a table is as large as the mates'
+    space (nested routes on a path: 0.06 s for 2**18 profiles on a 2-vCPU
+    VM).
     """
     if not is_count(cap):
         raise ValueError(f"cap must be an integer, got {cap!r}")
@@ -213,6 +223,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
         shape = [1] * len(movers)
         shape[axis] = -1
         grid[idx] = np.array([slot[a] for a in actions[idx]]).reshape(shape)
+    index = [{a: k for k, a in enumerate(acts)} for acts in actions]
     users: list[list[int]] = [[] for _ in instance._lengths]
     for j, route in enumerate(instance._routes):
         for e in route:
@@ -221,12 +232,21 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     f = np.array(instance._f)
     saving = [f * d for d in instance._lengths]
     count = np.min_scalar_type(instance.n_vehicles)
+
+    def listed(stable):
+        """Each mover's action index in each stable profile, in the smallest dtype that fits."""
+        # a 0-d space (no movers) holds its one profile and lists no column
+        return {j: ks.astype(np.min_scalar_type(len(actions[j]) - 1))
+                for j, ks in zip(movers, np.nonzero(np.atleast_1d(stable)))}
+
     try:
         stable = np.ones([len(actions[idx]) for idx in movers], dtype=bool)
+        left = size  # profiles stable for every vehicle scored so far
+        survivors: dict[int, np.ndarray] | None = None  # each mover's action index in them
         for axis, idx in enumerate(movers):
             route = instance._routes[idx]
             width = len(actions[idx])
-            at = {a: k for k, a in enumerate(actions[idx])}
+            at = index[idx]
             depth = [0] * len(actions)
             for e in route:
                 for j in users[e]:
@@ -253,26 +273,42 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             for e, h in zip(route, reversed(walk)):
                 table += saving[e][h]
             table -= np.reshape(instance._pen[idx], [-1, *ones])
-            # The codes get the vehicle's own action as a leading axis, and the
-            # mates' axes are added last to first, so numpy's loops run long.
             code_type = np.min_scalar_type(table.size)
             stride = (np.array(table.strides) // table.itemsize).astype(code_type)
-            own = grid[idx].reshape([-1] + [1] * len(movers))
-            code = np.arange(width, dtype=code_type).reshape(own.shape) * stride[0]
-            for j in reversed(mates):
-                code = (grid[j] == own) * stride[1 + deep.index(depth[j])] + code
+            if survivors is None and left * (width * (len(mates) + 1) + len(movers)) < size:
+                # Few profiles are left: scoring a list of them costs less than the space.
+                survivors = listed(stable)
+                del stable
+            if survivors is None:
+                # The codes get the vehicle's own action as a leading axis, and the
+                # mates' axes are added last to first, so numpy's loops run long.
+                own = grid[idx].reshape([-1] + [1] * len(movers))
+                code = np.arange(width, dtype=code_type).reshape(own.shape) * stride[0]
+                for j in reversed(mates):
+                    code = (grid[j] == own) * stride[1 + deep.index(depth[j])] + code
+            else:
+                # the same codes per listed profile: a mate counts at the own action it takes
+                code = np.arange(width, dtype=code_type).reshape(-1, 1) * stride[0]
+                for j in reversed(mates):
+                    theirs = np.array([index[j].get(a, -1) for a in actions[idx]]).reshape(-1, 1)
+                    code = (survivors[j] == theirs) * stride[1 + deep.index(depth[j])] + code
             u = table.ravel()[code]
             del table, code  # freed before the next arrays, so memory stays per profile
             best = u.max(axis=0)
-            for k in range(width):
-                stable[(slice(None),) * axis + (slice(k, k + 1),)] &= best <= u[k] + GAIN_EPS
+            if survivors is None:
+                for k in range(width):
+                    stable[(slice(None),) * axis + (slice(k, k + 1),)] &= best <= u[k] + GAIN_EPS
+                left = int(np.count_nonzero(stable))
+            else:
+                keep = best <= np.take_along_axis(u, survivors[idx][None], 0)[0] + GAIN_EPS
+                survivors = {j: ks[keep] for j, ks in survivors.items()}
+                left = int(np.count_nonzero(keep))
             del u, best
+        if survivors is None:
+            survivors = listed(stable)
     except MemoryError:  # numpy's own error would end the CLI in a traceback
         raise ValueError(too_many) from None
-    profile = [acts[0] for acts in actions]
-    out: set[tuple[float, ...]] = set()
-    for ks in np.argwhere(stable).tolist():
-        for idx, k in zip(movers, ks):
-            profile[idx] = actions[idx][k]
-        out.add(tuple(profile))
-    return out
+    columns = [[acts[0]] * left for acts in actions]
+    for j, ks in survivors.items():
+        columns[j] = list(map(actions[j].__getitem__, ks.tolist()))
+    return set(zip(*columns))

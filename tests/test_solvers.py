@@ -579,6 +579,18 @@ def test_brute_force_mates_at_every_depth(fig3, model):
     assert brute_force_nash(inst) == ref_brute_force_nash(inst)
 
 
+def test_brute_force_all_ties_keeps_every_profile(fig3):
+    # With no saving and no penalty every utility is 0.0, so no profile ever
+    # drops out and the whole-space scoring runs to the last vehicle.
+    config = pm.ScenarioConfig(network=fig3, n_vehicles=6, alpha=300.0, seed=0,
+                               params=ModelParams(k_p=0.0, k_t=0.0))
+    inst = pm.generate_scenario(config)
+    assert [len(a) for a in inst._actions] == [6] * 6
+    equilibria = brute_force_nash(inst)
+    assert len(equilibria) == 46_656
+    assert equilibria == set(itertools.product(*inst._actions))
+
+
 @pytest.mark.parametrize("penalty, equilibria", [
     (5.099999999998998, {(0.0, 0.0)}),
     (5.0999999999995, {(0.0, 0.0), (100.0, 0.0)}),
