@@ -372,6 +372,9 @@ def _parse_alphas(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    # a sweep writes only at its end, so a path it cannot write fails first
+    if args.out and args.out != "-" and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out {args.out}: no directory {Path(args.out).parent}")
     network = PRESETS[args.preset]()
     config = ScenarioConfig(
         network=network,

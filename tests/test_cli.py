@@ -236,6 +236,19 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, replications, scen
     assert replications == []  # a sweep checks all of its input before the first replication
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "file.txt/x.csv"])
+def test_sweep_rejects_an_out_path_without_a_directory_before_running(tmp_path, capsys,
+                                                                     monkeypatch, out):
+    def ran(*args):
+        raise AssertionError("the sweep ran before its output path was checked")
+
+    monkeypatch.setattr("platoonmatch.cli.sweep_alpha", ran)
+    (tmp_path / "file.txt").write_text("")
+    path = tmp_path / out
+    assert_rejected(tmp_path, capsys, None, ("sweep", "--out", str(path)),
+                    re.escape(f"--out {path}: no directory {path.parent}"))
+
+
 @pytest.mark.parametrize(
     "scenario, argv, pattern",
     [
