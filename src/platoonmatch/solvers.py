@@ -171,35 +171,34 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     exceeds it, or when its arrays do not fit in memory or in numpy's index
     range.  Never empty: a finite exact potential game always has a pure NE.
 
-    Each vehicle with more than one action gets one numpy axis, holding the
-    slot in ``_all_times`` of each of its actions, so the axes together span
-    the profile space.  A utility depends only on how many vehicles share
-    each route edge.  A vehicle's mates are the other vehicles with a choice
-    that share a time with it; a mate's depth is how many leading edges of
-    the route it drives too.  At action ``k`` the route's m-th edge holds 1
-    plus the one-action vehicles and the mates at that time deeper than m.
-    So one table, over the vehicle's actions and the mate counts per depth
-    (at most ``width * 2**mates`` entries, never more than the profiles),
-    holds its every utility: the kernel's route walk, from 0.0 in route
-    order adding ``f[n(e)] * d(e)``, minus the penalty.  Each profile's
-    index into the table is summed from broadcast slot comparisons, and one
-    lookup scores the vehicle; it is stable where no action beats that by
-    more than GAIN_EPS.
+    Each vehicle with more than one action, a mover, has one numpy axis
+    over its action indices, so the axes together span the profile space.
+    A utility depends only on how many vehicles share each route edge.  A
+    vehicle's mates are the other movers that share a time with it; a
+    mate's depth is how many leading edges of the route it drives too.  At
+    action ``k`` the route's m-th edge holds 1 plus the one-action vehicles
+    and the mates at that time deeper than m.  So one table, over the
+    vehicle's actions and the mate counts per depth (at most
+    ``width * 2**mates`` entries, never more than the profiles), holds its
+    every utility: the kernel's route walk, from 0.0 in route order adding
+    ``f[n(e)] * d(e)``, minus the penalty.  A profile's index into the table
+    at each own action adds the stride of each mate whose action index is
+    the one it has at that time; one gather scores the vehicle, and it is
+    stable where no action beats that by more than GAIN_EPS.
 
     The vehicles are scored one after another, and few profiles stay stable
     for all of the first ones.  Once scoring a list of the profiles left
     (``width * (mates + 1)`` codes each, plus one action index per mover)
-    costs less than the space, they are listed: each mover's action index
-    in each of them, in the smallest dtype that fits.  Every later vehicle
-    is scored on that list alone, with the same table, one gather and the
-    same test, and the profiles it finds unstable are dropped.  Each
-    product, sum and comparison is the IEEE operation the kernel makes, in
-    the kernel's order, so the set has the kernel's bits.  The arrays peak
-    at 6-24 bytes per profile (24 where ties keep every profile to the last
-    vehicle), so the cap also bounds memory.  Time is worst with one mate
-    per depth, two actions each, where a table is as large as the mates'
-    space (nested routes on a path: 0.06 s for 2**18 profiles on a 2-vCPU
-    VM).
+    costs less than the space, the action indices are listed, and every
+    later vehicle is scored the same way on the list alone.  Each product,
+    sum and comparison is the IEEE operation the kernel makes, in the
+    kernel's order, so the set has the kernel's bits.  The check's arrays
+    peak at 6-24 bytes per profile (24 where ties keep every profile to the
+    last vehicle), so the cap bounds them; the returned set comes on top, at
+    up to about 200 bytes per equilibrium where every profile ties.  Time is
+    worst with one mate per depth, two actions each, where a table is as
+    large as the mates' space (nested routes on a path: 0.06 s for 2**18
+    profiles on a 2-vCPU VM).
     """
     if not is_count(cap):
         raise ValueError(f"cap must be an integer, got {cap!r}")
@@ -217,12 +216,6 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     # more, so this also refuses more movers than numpy 2's 64 axes can hold.
     if size > np.iinfo(np.intp).max:
         raise ValueError(too_many)
-    slot = {t: k for k, t in enumerate(instance._all_times)}
-    grid: dict[int, np.ndarray] = {}
-    for axis, idx in enumerate(movers):
-        shape = [1] * len(movers)
-        shape[axis] = -1
-        grid[idx] = np.array([slot[a] for a in actions[idx]]).reshape(shape)
     index = [{a: k for k, a in enumerate(acts)} for acts in actions]
     users: list[list[int]] = [[] for _ in instance._lengths]
     for j, route in enumerate(instance._routes):
@@ -233,16 +226,17 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     saving = [f * d for d in instance._lengths]
     count = np.min_scalar_type(instance.n_vehicles)
 
-    def listed(stable):
-        """Each mover's action index in each stable profile, in the smallest dtype that fits."""
-        # a 0-d space (no movers) holds its one profile and lists no column
+    def narrow(columns):
+        """Each mover's action indices, in the smallest dtype that fits."""
         return {j: ks.astype(np.min_scalar_type(len(actions[j]) - 1))
-                for j, ks in zip(movers, np.nonzero(np.atleast_1d(stable)))}
+                for j, ks in zip(movers, columns)}
 
     try:
         stable = np.ones([len(actions[idx]) for idx in movers], dtype=bool)
         left = size  # profiles stable for every vehicle scored so far
-        survivors: dict[int, np.ndarray] | None = None  # each mover's action index in them
+        # each mover's action index in them: along its own axis of the space
+        # while ``stable`` masks it, then one entry per listed profile
+        cols = narrow(np.indices(stable.shape, sparse=True))
         for axis, idx in enumerate(movers):
             route = instance._routes[idx]
             width = len(actions[idx])
@@ -275,40 +269,38 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             table -= np.reshape(instance._pen[idx], [-1, *ones])
             code_type = np.min_scalar_type(table.size)
             stride = (np.array(table.strides) // table.itemsize).astype(code_type)
-            if survivors is None and left * (width * (len(mates) + 1) + len(movers)) < size:
+            if stable is not None and left * (width * (len(mates) + 1) + len(movers)) < size:
                 # Few profiles are left: scoring a list of them costs less than the space.
-                survivors = listed(stable)
-                del stable
-            if survivors is None:
-                # The codes get the vehicle's own action as a leading axis, and the
-                # mates' axes are added last to first, so numpy's loops run long.
-                own = grid[idx].reshape([-1] + [1] * len(movers))
-                code = np.arange(width, dtype=code_type).reshape(own.shape) * stride[0]
-                for j in reversed(mates):
-                    code = (grid[j] == own) * stride[1 + deep.index(depth[j])] + code
-            else:
-                # the same codes per listed profile: a mate counts at the own action it takes
-                code = np.arange(width, dtype=code_type).reshape(-1, 1) * stride[0]
-                for j in reversed(mates):
-                    theirs = np.array([index[j].get(a, -1) for a in actions[idx]]).reshape(-1, 1)
-                    code = (survivors[j] == theirs) * stride[1 + deep.index(depth[j])] + code
+                cols = narrow(np.nonzero(stable))
+                stable = None
+            # The codes get the vehicle's own action as a leading axis, and the
+            # mates' axes are added last to first, so numpy's loops run long.
+            lead = [-1] + [1] * cols[idx].ndim
+            code = np.arange(width, dtype=code_type).reshape(lead) * stride[0]
+            for j in reversed(mates):
+                # a mate counts at the own action it takes
+                theirs = np.array([index[j].get(a, -1) for a in actions[idx]]).reshape(lead)
+                code = (cols[j] == theirs) * stride[1 + deep.index(depth[j])] + code
             u = table.ravel()[code]
             del table, code  # freed before the next arrays, so memory stays per profile
-            best = u.max(axis=0)
-            if survivors is None:
-                for k in range(width):
-                    stable[(slice(None),) * axis + (slice(k, k + 1),)] &= best <= u[k] + GAIN_EPS
+            best = u.max(0)
+            u += GAIN_EPS
+            ok = best <= u
+            del u, best
+            if stable is not None:
+                stable &= np.swapaxes(ok, 0, 1 + axis)[0]
                 left = int(np.count_nonzero(stable))
             else:
-                keep = best <= np.take_along_axis(u, survivors[idx][None], 0)[0] + GAIN_EPS
-                survivors = {j: ks[keep] for j, ks in survivors.items()}
+                keep = np.take_along_axis(ok, cols[idx][None], 0)[0]
+                cols = {j: ks[keep] for j, ks in cols.items()}
                 left = int(np.count_nonzero(keep))
-            del u, best
-        if survivors is None:
-            survivors = listed(stable)
+            del ok
+        if stable is not None:
+            # a 0-d space (no movers) holds its one profile and lists no column
+            cols = narrow(np.nonzero(np.atleast_1d(stable)))
     except MemoryError:  # numpy's own error would end the CLI in a traceback
         raise ValueError(too_many) from None
     columns = [[acts[0]] * left for acts in actions]
-    for j, ks in survivors.items():
+    for j, ks in cols.items():
         columns[j] = list(map(actions[j].__getitem__, ks.tolist()))
     return set(zip(*columns))

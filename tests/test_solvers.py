@@ -566,6 +566,21 @@ def test_brute_force_mover_without_mates(fig3, model):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
+def test_brute_force_late_mover_without_mates(fig3, model):
+    # Vehicles 1-4 share times 0 and 100, and few profiles stay stable for
+    # them, so vehicle 5, whose times 1000 and 1100 no other mover shares, is
+    # scored on the list of the profiles left.
+    vehicles = [Vehicle(i + 1, "v9", 100.0 * (i % 2), (-500.0, 600.0)) for i in range(4)]
+    vehicles += [
+        Vehicle(5, "v12", 1000.0, (1000.0, 1100.0)),
+        Vehicle(6, "v5", 1100.0, (1100.0, 1100.0)),
+    ]
+    inst = Instance(fig3, vehicles, model())
+    assert [len(a) for a in inst._actions] == [2] * 5 + [1]
+    assert brute_force_nash(inst) == ref_brute_force_nash(inst)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
 def test_brute_force_mates_at_every_depth(fig3, model):
     # The route to v12 has 5 edges; v2, v6, v8, v10/v13 and v12 end after 1..5
     # of them, so the v12 vehicles see mates at every depth, two at some.
