@@ -211,13 +211,19 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Instanc
     """Parse a scenario file into an Instance, resolving any generator section.
 
     ``seed_override`` replaces the file's generator seed (explicit-vehicle
-    files ignore it: they contain no randomness).  Every rejection of a
-    declared value names the line that declared it.
+    files ignore it: they contain no randomness).  The file is UTF-8 and its
+    lines end at ``\n`` alone.  Every rejection of a declared value names
+    the line that declared it, and a byte that is not UTF-8 names its line.
     """
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
     parser = _Parser()
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             parser.feed(lineno, line)
         return parser.instance(seed_override)
     except InputError as exc:
@@ -302,7 +308,7 @@ def _solve_csv(instance: Instance, payload: dict) -> str:
 
 def _write_out(text: str, out: str | None):
     if out and out != "-":
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -314,7 +320,7 @@ def _write_out(text: str, out: str | None):
 def cmd_solve(args) -> int:
     instance = load_scenario(args.scenario, seed_override=args.seed)
     if args.dump_scenario:
-        Path(args.dump_scenario).write_text(dump_scenario(instance))
+        Path(args.dump_scenario).write_text(dump_scenario(instance), encoding="utf-8")
     report = brd_solve(instance) if args.mode == "ne" else coop_solve(instance)
     payload = _solve_payload(instance, report, args.mode)
     if args.format == "json":
@@ -445,7 +451,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--cap", type=int, default=1_000_000,
                           help="maximum profile-space size to enumerate; it also bounds "
-                               "the check's memory, at up to about 24 bytes per profile")
+                               "the check's memory, at up to about 24 bytes per profile, "
+                               "but not the answer's: up to about 200 bytes per equilibrium")
     p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

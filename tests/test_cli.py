@@ -397,6 +397,32 @@ def test_scenario_rejection_message(tmp_path, scenario, message):
     assert str(exc.value) == message
 
 
+def test_scenario_lines_end_at_newline_alone(tmp_path):
+    # str.splitlines would also end a line at each of these, splitting the
+    # comment and moving the line a rejection names.
+    comment = "# fig \f\v\x1c\x1d\x1e\x85\u2028\u20293 tree\n"
+    path = tmp_path / "breaks.scn"
+    path.write_bytes((comment + FIG3 + "vehicle v4 0 -10 10\n").encode())
+    plain = tmp_path / "plain.scn"
+    plain.write_text(FIG3 + "vehicle v4 0 -10 10\n")
+    assert load_scenario(path) == load_scenario(plain)
+    path.write_bytes((comment + FIG3 + "param k_p -1\nvehicle v4 0 -10 10\n").encode())
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == "line 3: k_p must be finite and >= 0, got -1.0"
+
+
+def test_scenario_names_the_line_of_a_byte_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(FIG3.encode() + "# café\nvehicle v4 0 -10 10\n".encode("latin-1"))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == "line 2: byte 0xe9 is not UTF-8"
+    code, _, err = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert err == "error: line 2: byte 0xe9 is not UTF-8\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_overflowing_saving_rejected_at_its_line(tmp_path, capsys, command):
     # at k_p 1e305 every rate is finite, but the route sums overflow
