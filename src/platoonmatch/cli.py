@@ -452,7 +452,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--cap", type=int, default=1_000_000,
                           help="maximum profile-space size to enumerate; it also bounds "
                                "the check's memory, at up to about 24 bytes per profile, "
-                               "but not the answer's: up to about 200 bytes per equilibrium")
+                               "but not the answer's: some 200-400 bytes per equilibrium")
     p_oracle.add_argument("--seed", type=int, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -195,7 +195,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     kernel's order, so the set has the kernel's bits.  The check's arrays
     peak at 6-24 bytes per profile (24 where ties keep every profile to the
     last vehicle), so the cap bounds them; the returned set comes on top, at
-    up to about 200 bytes per equilibrium where every profile ties.  Time is
+    about 200 bytes per equilibrium of 7 vehicles (400 of 18).  Time is
     worst with one mate per depth, two actions each, where a table is as
     large as the mates' space (nested routes on a path: 0.06 s for 2**18
     profiles on a 2-vCPU VM).
@@ -278,7 +278,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             lead = [-1] + [1] * cols[idx].ndim
             code = np.arange(width, dtype=code_type).reshape(lead) * stride[0]
             for j in reversed(mates):
-                # a mate counts at the own action it takes
+                # the mate's index of the time of each own action, or -1 if it has none
                 theirs = np.array([index[j].get(a, -1) for a in actions[idx]]).reshape(lead)
                 code = (cols[j] == theirs) * stride[1 + deep.index(depth[j])] + code
             u = table.ravel()[code]
