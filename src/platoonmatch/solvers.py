@@ -194,11 +194,11 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     sum and comparison is the IEEE operation the kernel makes, in the
     kernel's order, so the set has the kernel's bits.  The check's arrays
     peak at 6-24 bytes per profile (24 where ties keep every profile to the
-    last vehicle), so the cap bounds them; the returned set comes on top, at
-    about 200 bytes per equilibrium of 7 vehicles (400 of 18).  Time is
-    worst with one mate per depth, two actions each, where a table is as
-    large as the mates' space (nested routes on a path: 0.06 s for 2**18
-    profiles on a 2-vCPU VM).
+    last vehicle), so the cap bounds them; listing the equilibria and their
+    set come on top, about 200 bytes each for 7 vehicles (400 for 18).
+    Time is worst with one mate per depth, two actions each, where a table
+    is as large as the mates' space (nested routes on a path: 0.06 s for
+    2**18 profiles on a 2-vCPU VM).
     """
     if not is_count(cap):
         raise ValueError(f"cap must be an integer, got {cap!r}")
