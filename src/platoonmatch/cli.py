@@ -211,11 +211,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Instanc
     """Parse a scenario file into an Instance, resolving any generator section.
 
     ``seed_override`` replaces the file's generator seed (explicit-vehicle
-    files ignore it: they contain no randomness).  The file is UTF-8 and its
-    lines end at ``\n`` alone.  Every rejection of a declared value names
+    files ignore it: they contain no randomness).  The file is UTF-8, may
+    start with a byte-order mark, and its lines end at ``\n`` alone.  Every rejection of a declared value names
     the line that declared it, and a byte that is not UTF-8 names its line.
     """
-    data = Path(path).read_bytes()
+    # the mark is cut off the bytes, so an undecodable byte's offset still counts its lines
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

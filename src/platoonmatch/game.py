@@ -10,7 +10,9 @@ A strategy profile is a plain tuple of departure times, one entry per
 vehicle in id order.  Feasible times for a vehicle are the preferred times
 of all vehicles that fall inside its window, so profiles only ever hold
 values copied from the preferred-time set and platoon grouping can use
-exact equality.
+exact equality.  The distinct preferred times, sorted, are the slots of
+``Instance._all_times``; a vehicle's actions are a contiguous run of them,
+so inside the library an action is an index into that run.
 
 The game admits an exact potential: the per-edge saving rate ``f(n)`` is
 replaced by its running sum ``r(n) = f(1) + ... + f(n)``, summed over the
@@ -145,7 +147,7 @@ class Instance:
         f1 = self._f[1]
         pen = self.params.penalty
         k_t = self.params.k_t
-        routes, actions, pens, alone = [], [], [], []
+        routes, firsts, pens, alone = [], [], [], []
         worst = 0.0  # the sum of every vehicle's largest penalty
         for v, pref in zip(self.vehicles, self._pref):
             # every key of ``routes`` is a string, so no other value is a destination
@@ -155,7 +157,8 @@ class Instance:
                        else "unknown destination")
                 raise InputError(v.id, f"vehicle {v.id}: {why} {v.destination!r}")
             lo, hi = v.window
-            acts = times[bisect_left(times, lo):bisect_right(times, hi)]
+            first = bisect_left(times, lo)
+            acts = times[first:bisect_right(times, hi)]
             # the default penalty's own expression, so the same bits
             row = tuple([k_t * abs(a - pref) for a in acts] if pen is None else [
                 nonnegative_float(f"vehicle {v.id}: deviation penalty for action {a!r}",
@@ -164,13 +167,15 @@ class Instance:
             for e in route:
                 total += f1 * lengths[e]
             routes.append(route)
-            actions.append(acts)
+            firsts.append(first)
             pens.append(row)
             alone.append(total)
             worst += max(row)
         self._routes: tuple[tuple[int, ...], ...] = tuple(routes)
-        self._actions: tuple[tuple[float, ...], ...] = tuple(actions)
-        #: ``_pen[idx][k]`` is the deviation penalty of action ``_actions[idx][k]``.
+        #: Vehicle ``idx``'s actions are the slots ``_first[idx]`` to ``_first[idx] +
+        #: len(_pen[idx]) - 1`` of ``_all_times``: its action ``k`` departs at
+        #: ``_all_times[_first[idx] + k]`` and costs the penalty ``_pen[idx][k]``.
+        self._first: tuple[int, ...] = tuple(firsts)
         self._pen: tuple[tuple[float, ...], ...] = tuple(pens)
         #: ``_alone[idx] = sum f(1) d(e)`` over vehicle ``idx``'s route in route
         #: order: the saving term of every departure time nobody occupies and,
@@ -241,23 +246,24 @@ def _index_of(instance: Instance, vehicle_id: int) -> int:
 
 
 def _check_profile(instance: Instance, profile: Profile) -> list[int]:
-    """Each entry's index ``k`` in its vehicle's actions, so ``_pen[idx][k]`` is
-    its penalty; ValueError for a wrong length or an infeasible entry."""
+    """Each entry's action index ``k``: it departs at slot ``_first[idx] + k`` of
+    ``_all_times`` and costs ``_pen[idx][k]``.  ValueError for a wrong length or
+    an entry equal to none of its vehicle's actions.  The one place a time is
+    mapped: a bisect in ``_all_times`` bounded to the vehicle's slots.
+    """
     if len(profile) != instance.n_vehicles:
-        raise ValueError(
-            f"profile has {len(profile)} entries for {instance.n_vehicles} vehicles"
-        )
+        raise ValueError(f"profile has {len(profile)} entries for {instance.n_vehicles} vehicles")
+    times = instance._all_times
     ks = []
-    for idx, (t, acts) in enumerate(zip(profile, instance._actions)):
+    for idx, (t, lo, pens) in enumerate(zip(profile, instance._first, instance._pen)):
+        hi = lo + len(pens)
         try:
-            k = bisect_left(acts, t)
+            slot = bisect_left(times, t, lo, hi)
         except TypeError:  # not orderable against a float, so not an action
-            k = len(acts)
-        if k == len(acts) or acts[k] != t:
-            raise ValueError(
-                f"vehicle {idx + 1}: departure time {t!r} is not a feasible action"
-            )
-        ks.append(k)
+            slot = hi
+        if slot == hi or times[slot] != t:
+            raise ValueError(f"vehicle {idx + 1}: departure time {t!r} is not a feasible action")
+        ks.append(slot - lo)
     return ks
 
 
@@ -276,56 +282,59 @@ def _lone_share(profile: Profile) -> float:
 class _PlatoonState:
     """Per-edge head counts of every occupied departure time of one profile.
 
-    ``counts[t][e]`` is the number of vehicles departing at ``t`` whose route
-    uses edge ``e``.  A move touches two count lists in O(|route|).  One walk,
-    ``scan``, scores every action of a vehicle from them, in O(|route|)
-    when the time is occupied and in O(1) when it is not, for its utilities
-    and for the cooperative deltas alike.  The solvers, the equilibrium check
-    and the reported utilities score vehicles here and nowhere else; the
-    reported sums over whole platoons come from ``_edge_sum``.  Every route
-    starts on the root's single outgoing edge, so ``counts[t][route[0]]`` is
-    the platoon size and a list is dropped once that reaches zero.
+    Built from action indices (``_check_profile``'s), like every argument and
+    result of its methods.  ``counts[slot][e]`` is the number of vehicles
+    departing at ``_all_times[slot]`` whose route uses edge ``e``, and
+    ``counts[slot]`` is ``None`` where nobody departs.  A move touches two
+    count lists in O(|route|).  One walk, ``scan``, scores every action of a
+    vehicle from them, in O(|route|) when the time is occupied and in O(1)
+    when it is not, for its utilities and for the cooperative deltas alike.
+    The solvers, the equilibrium check and the reported utilities score
+    vehicles here and nowhere else; the reported sums over whole platoons come
+    from ``_edge_sum``.  Every route starts on the root's single outgoing
+    edge, so ``counts[slot][route[0]]`` is the platoon size and a list is
+    dropped once that reaches zero.
     """
 
-    def __init__(self, instance: Instance, profile: Profile):
+    def __init__(self, instance: Instance, ks: Sequence[int]):
         self._instance = instance
         self._empty = [0] * len(instance._lengths)
-        self.counts: dict[float, list[int]] = {}
-        for idx, t in enumerate(profile):
-            self._join(idx, t)
+        self.counts: list[list[int] | None] = [None] * len(instance._all_times)
+        for idx, k in enumerate(ks):
+            self._add(idx, k, 1)
 
-    def _join(self, idx: int, t: float) -> None:
-        c = self.counts.get(t)
+    def _add(self, idx: int, k: int, step: int) -> None:
+        """Add ``step`` to the head counts of vehicle ``idx``'s route at its action ``k``."""
+        slot = self._instance._first[idx] + k
+        c = self.counts[slot]
         if c is None:
-            c = self.counts[t] = list(self._empty)
-        for e in self._instance._routes[idx]:
-            c[e] += 1
-
-    def move(self, idx: int, old: float, new: float) -> None:
-        """Vehicle ``idx`` switches its departure time from ``old`` to ``new``."""
+            c = self.counts[slot] = list(self._empty)
         route = self._instance._routes[idx]
-        c = self.counts[old]
         for e in route:
-            c[e] -= 1
+            c[e] += step
         if not c[route[0]]:
-            del self.counts[old]
-        self._join(idx, new)
+            self.counts[slot] = None
 
-    def route_sum(self, idx: int, t: float, table: Sequence[float]) -> float:
+    def move(self, idx: int, old: int, new: int) -> None:
+        """Vehicle ``idx`` switches from its action ``old`` to its action ``new``."""
+        self._add(idx, old, -1)
+        self._add(idx, new, 1)
+
+    def route_sum(self, idx: int, k: int, table: Sequence[float]) -> float:
         """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order,
-        where ``n(e)`` is the head count of time ``t`` on edge ``e``."""
+        where ``n(e)`` is the head count of its action ``k`` on edge ``e``."""
         inst = self._instance
         lengths = inst._lengths
-        c = self.counts.get(t, self._empty)
+        c = self.counts[inst._first[idx] + k] or self._empty
         total = 0.0
         for e in inst._routes[idx]:
             total += table[c[e]] * lengths[e]
         return total
 
-    def scan(self, idx: int, cur: float, objective: str) -> tuple[float, float, float | None]:
-        """``(vcur, vbest, abest)``: vehicle ``idx``'s value at ``cur`` (its time)
+    def scan(self, idx: int, cur: int, objective: str) -> tuple[float, float, int | None]:
+        """``(vcur, vbest, kbest)``: vehicle ``idx``'s value at its action ``cur``
         under ``objective``, the largest value over its other actions (``-inf``
-        if none) and the smallest action reaching that.
+        if none) and the smallest action index reaching that (``None`` if none).
 
         An action's value is ``(s - leave) - (p - pen_cur)``, with ``s`` the walk
         ``sum table[n(e)] * d(e)`` over the route counting the vehicle in that
@@ -335,24 +344,26 @@ class _PlatoonState:
         the sum of all utilities, since in a platoon the vehicle adds ``dg[n(e)]
         * d(e)`` on each edge of its route.  An unoccupied action reads
         ``Instance._alone`` in O(1): ``table[1]`` is ``f(1)`` bit for bit for both.
+        The loop walks the vehicle's slots of ``counts`` and its penalty row together.
         """
         inst = self._instance
         table = inst._f if objective == "self" else inst._dg
-        acts = inst._actions[idx]
+        first = inst._first[idx]
         pens = inst._pen[idx]
         s_cur = self.route_sum(idx, cur, table)
-        p_cur = pens[acts.index(cur)]
+        p_cur = pens[cur]
         leave, pen_cur = (0.0, 0.0) if objective == "self" else (s_cur, p_cur)
         vcur = (s_cur - leave) - (p_cur - pen_cur)
         lengths = inst._lengths
         route = inst._routes[idx]
         alone = inst._alone[idx]
         counts = self.counts
-        vbest, abest = -inf, None
-        for a, p in zip(acts, pens):
-            if a == cur:
+        here = first + cur
+        vbest, best = -inf, None
+        for slot, p in enumerate(pens, first):
+            if slot == here:
                 continue
-            c = counts.get(a)
+            c = counts[slot]
             if c is None:
                 s = alone
             else:
@@ -361,24 +372,28 @@ class _PlatoonState:
                     s += table[c[e] + 1] * lengths[e]
             v = (s - leave) - (p - pen_cur)
             if v > vbest:
-                vbest, abest = v, a
-        return vcur, vbest, abest
+                vbest, best = v, slot
+        return vcur, vbest, None if best is None else best - first
 
 
 def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:
     """Preferred times of all vehicles that fall inside this vehicle's window.
 
     Returned in ascending order; always contains the vehicle's own
-    preferred time.  Duplicate preferred times collapse to one action.
+    preferred time.  Duplicate preferred times collapse to one action.  The
+    result is the vehicle's slots of ``Instance._all_times``, so its ``k``-th
+    entry is the time of action index ``k``.
     """
-    return instance._actions[_index_of(instance, vehicle_id)]
+    idx = _index_of(instance, vehicle_id)
+    first = instance._first[idx]
+    return instance._all_times[first:first + len(instance._pen[idx])]
 
 
 def vehicle_utility(instance: Instance, profile: Profile, vehicle_id: int) -> float:
     """Platooning saving along the vehicle's route minus its deviation penalty."""
     ks = _check_profile(instance, profile)
     idx = _index_of(instance, vehicle_id)
-    saving = _PlatoonState(instance, profile).route_sum(idx, profile[idx], instance._f)
+    saving = _PlatoonState(instance, ks).route_sum(idx, ks[idx], instance._f)
     return saving - instance._pen[idx][ks[idx]]
 
 
@@ -440,11 +455,10 @@ def evaluate(instance: Instance, profile: Profile) -> Outcome:
     """Partition, per-vehicle utilities, potential, and summary metrics."""
     ks = _check_profile(instance, profile)
     groups = _groups(profile)
-    state = _PlatoonState(instance, profile)
+    state = _PlatoonState(instance, ks)
     f = instance._f
     utilities = tuple(
-        state.route_sum(idx, t, f) - pens[k]
-        for idx, (t, pens, k) in enumerate(zip(profile, instance._pen, ks))
+        state.route_sum(idx, k, f) - instance._pen[idx][k] for idx, k in enumerate(ks)
     )
     partition = tuple(
         (t, tuple(j + 1 for j in members)) for t, members in sorted(groups.items())

@@ -4,8 +4,8 @@ All trucks start at a single origin node (the tree root) and fan out toward
 their destinations.  Because the network is a directed tree with a
 degree-one root, the route from the origin to any node is unique, every
 route starts on the same outgoing edge, and splits only happen at interior
-nodes.  Networks are immutable after construction, so instances can be
-shared freely across workers.
+nodes.  Networks are immutable after construction, so any number of
+instances can share one.
 """
 
 from __future__ import annotations

@@ -58,11 +58,11 @@ class SolveReport:
         return [metric(self.instance, s) for s in self.history]
 
 
-def _decide(state: game._PlatoonState, idx: int, cur: float, objective: str) -> float:
-    """Keep the current action unless another beats it by more than GAIN_EPS;
-    otherwise move to the smallest action attaining the maximum."""
-    vcur, vbest, abest = state.scan(idx, cur, objective)
-    return cur if vcur >= vbest - GAIN_EPS else abest
+def _decide(state: game._PlatoonState, idx: int, cur: int, objective: str) -> int:
+    """Keep the current action index unless another action beats it by more than
+    GAIN_EPS; otherwise move to the smallest one attaining the maximum."""
+    vcur, vbest, kbest = state.scan(idx, cur, objective)
+    return cur if vcur >= vbest - GAIN_EPS else kbest
 
 
 def best_response(
@@ -78,29 +78,30 @@ def best_response(
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    game._check_profile(instance, profile)
+    ks = game._check_profile(instance, profile)
     idx = game._index_of(instance, vehicle_id)
-    return _decide(game._PlatoonState(instance, profile), idx, profile[idx], objective)
+    k = _decide(game._PlatoonState(instance, ks), idx, ks[idx], objective)
+    return instance._all_times[instance._first[idx] + k]
 
 
-def _sweep_solve(
-    instance: Instance, objective: str, start: tuple[float, ...] | None = None
-) -> SolveReport:
+def _sweep_solve(instance: Instance, objective: str, start: Profile | None = None) -> SolveReport:
     n = instance.n_vehicles
     max_sweeps = 10 * n * len(instance._all_times)
     s = list(instance._pref if start is None else start)
-    state = game._PlatoonState(instance, s)
+    ks = game._check_profile(instance, s)  # ``s`` holds the times, ``ks`` their action indices
+    state = game._PlatoonState(instance, ks)
     history = [tuple(s)]
     rounds = 0
     last = n - 1  # the previous sweep's last mover; n - 1 runs the first sweep in full
     while True:
         mover = -1
         for idx in range(n):
-            cur = s[idx]
-            a = _decide(state, idx, cur, objective)
-            if a != cur:
-                state.move(idx, cur, a)
-                s[idx] = a
+            cur = ks[idx]
+            k = _decide(state, idx, cur, objective)
+            if k != cur:
+                state.move(idx, cur, k)
+                ks[idx] = k
+                s[idx] = instance._all_times[instance._first[idx] + k]
                 mover = idx
             elif idx == last and mover < 0:
                 # Nothing has moved since it did, so every later vehicle faces
@@ -140,9 +141,7 @@ def coop_solve(instance: Instance, start: Profile | None = None) -> SolveReport:
     """
     if start is None:
         start = brd_solve(instance).final
-    else:
-        game._check_profile(instance, start)
-    return _sweep_solve(instance, "cooperative", start=tuple(start))
+    return _sweep_solve(instance, "cooperative", start)
 
 
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
@@ -155,10 +154,10 @@ def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool
     """
     if not is_real(tol):
         raise ValueError(f"tol must be a finite number, got {tol!r}")
-    game._check_profile(instance, profile)
-    state = game._PlatoonState(instance, profile)
-    for idx, t in enumerate(profile):
-        vcur, vbest, _ = state.scan(idx, t, "self")
+    ks = game._check_profile(instance, profile)
+    state = game._PlatoonState(instance, ks)
+    for idx, k in enumerate(ks):
+        vcur, vbest, _ = state.scan(idx, k, "self")
         if vbest > vcur + tol:
             return False
     return True
@@ -174,7 +173,8 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     Each vehicle with more than one action, a mover, has one numpy axis
     over its action indices, so the axes together span the profile space.
     A utility depends only on how many vehicles share each route edge.  A
-    vehicle's mates are the other movers that share a time with it; a
+    vehicle's mates are the other movers that share a time with it, those
+    whose runs of slots in ``Instance._all_times`` overlap its own; a
     mate's depth is how many leading edges of the route it drives too.  At
     action ``k`` the route's m-th edge holds 1 plus the one-action vehicles
     and the mates at that time deeper than m.  So one table, over the
@@ -183,7 +183,8 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     every utility: the kernel's route walk, from 0.0 in route order adding
     ``f[n(e)] * d(e)``, minus the penalty.  A profile's index into the table
     at each own action adds the stride of each mate whose action index is
-    the one it has at that time; one gather scores the vehicle, and it is
+    the one it has at that time, found by slot arithmetic; one gather
+    scores the vehicle, and it is
     stable where no action beats that by more than GAIN_EPS.
 
     The vehicles are scored one after another, and few profiles stay stable
@@ -202,11 +203,12 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     """
     if not is_count(cap):
         raise ValueError(f"cap must be an integer, got {cap!r}")
-    actions = instance._actions
-    size = math.prod(len(a) for a in actions)
+    times, first = instance._all_times, instance._first
+    widths = [len(pens) for pens in instance._pen]
+    size = math.prod(widths)
     if size > cap:
         raise ValueError(f"profile space holds {size} profiles, exceeding the cap {cap}")
-    movers = [idx for idx, acts in enumerate(actions) if len(acts) > 1]
+    movers = [idx for idx, width in enumerate(widths) if width > 1]
     too_many = (
         f"profile space holds {size} profiles, within the cap {cap} but too "
         "many to check as arrays in this memory; lower the cap"
@@ -216,7 +218,6 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     # more, so this also refuses more movers than numpy 2's 64 axes can hold.
     if size > np.iinfo(np.intp).max:
         raise ValueError(too_many)
-    index = [{a: k for k, a in enumerate(acts)} for acts in actions]
     users: list[list[int]] = [[] for _ in instance._lengths]
     for j, route in enumerate(instance._routes):
         for e in route:
@@ -228,31 +229,30 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
 
     def narrow(columns):
         """Each mover's action indices, in the smallest dtype that fits."""
-        return {j: ks.astype(np.min_scalar_type(len(actions[j]) - 1))
-                for j, ks in zip(movers, columns)}
+        return {j: ks.astype(np.min_scalar_type(widths[j] - 1)) for j, ks in zip(movers, columns)}
 
     try:
-        stable = np.ones([len(actions[idx]) for idx in movers], dtype=bool)
+        stable = np.ones([widths[idx] for idx in movers], dtype=bool)
         left = size  # profiles stable for every vehicle scored so far
         # each mover's action index in them: along its own axis of the space
         # while ``stable`` masks it, then one entry per listed profile
         cols = narrow(np.indices(stable.shape, sparse=True))
         for axis, idx in enumerate(movers):
             route = instance._routes[idx]
-            width = len(actions[idx])
-            at = index[idx]
-            depth = [0] * len(actions)
+            lo, width = first[idx], widths[idx]
+            depth = [0] * len(widths)
             for e in route:
                 for j in users[e]:
                     depth[j] += 1
-            mates = [j for j in movers if j != idx and not at.keys().isdisjoint(actions[j])]
+            # vehicle j's actions are the slots first[j] to first[j] + widths[j] - 1
+            mates = [j for j in movers if j != idx and lo - widths[j] < first[j] < lo + width]
             at_depth = Counter(depth[j] for j in mates)
             deep = sorted(at_depth)
             ones = [1] * len(deep)
             fixed = np.zeros((len(route) + 1, width, *ones), count)
             for j, d in enumerate(depth):
-                if len(actions[j]) == 1 and actions[j][0] in at:
-                    fixed[d, at[actions[j][0]]] += 1
+                if widths[j] == 1 and lo <= first[j] < lo + width:
+                    fixed[d, first[j] - lo] += 1
             # edge m counts everyone deeper than m: sum from the deepest edge up
             heads = 1
             walk = []
@@ -278,8 +278,8 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             lead = [-1] + [1] * cols[idx].ndim
             code = np.arange(width, dtype=code_type).reshape(lead) * stride[0]
             for j in reversed(mates):
-                # the mate's index of the time of each own action, or -1 if it has none
-                theirs = np.array([index[j].get(a, -1) for a in actions[idx]]).reshape(lead)
+                # the mate's index of the time of each own action, out of its range if none
+                theirs = np.arange(lo - first[j], lo - first[j] + width).reshape(lead)
                 code = (cols[j] == theirs) * stride[1 + deep.index(depth[j])] + code
             u = table.ravel()[code]
             del table, code  # freed before the next arrays, so memory stays per profile
@@ -300,7 +300,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             cols = narrow(np.nonzero(np.atleast_1d(stable)))
     except MemoryError:  # numpy's own error would end the CLI in a traceback
         raise ValueError(too_many) from None
-    columns = [[acts[0]] * left for acts in actions]
+    columns = [[times[lo]] * left for lo in first]
     for j, ks in cols.items():
-        columns[j] = list(map(actions[j].__getitem__, ks.tolist()))
+        columns[j] = list(map(game.feasible_actions(instance, j + 1).__getitem__, ks.tolist()))
     return set(zip(*columns))

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 
-from platoonmatch import Instance, ModelParams, RoadNetwork, Vehicle
+from platoonmatch import Instance, ModelParams, RoadNetwork, Vehicle, feasible_actions
 
 
 def ref_path(edges, root, dest):
@@ -158,9 +158,14 @@ def random_instance(
     return Instance(net, vehicles, params or ModelParams())
 
 
+def all_actions(instance):
+    """Every vehicle's feasible actions, in id order."""
+    return [feasible_actions(instance, v.id) for v in instance.vehicles]
+
+
 def random_profile(instance, rng):
     return tuple(
-        acts[int(rng.integers(0, len(acts)))] for acts in instance._actions
+        acts[int(rng.integers(0, len(acts)))] for acts in all_actions(instance)
     )
 
 
@@ -249,7 +254,7 @@ def ref_cooperative(instance, profile):
 
 def ref_candidate_values(instance, profile, idx, objective):
     """Objective value for each feasible action of vehicle ``idx``, in action order."""
-    actions = instance._actions[idx]
+    actions = feasible_actions(instance, idx + 1)
     if objective == "self":
         others = {}
         for j, t in enumerate(profile):
@@ -291,7 +296,7 @@ def ref_sweep_solve(instance, objective, start=None):
         changed = False
         for idx in range(instance.n_vehicles):
             a = ref_pick(
-                instance._actions[idx],
+                feasible_actions(instance, idx + 1),
                 ref_candidate_values(instance, s, idx, objective),
                 s[idx],
             )
@@ -312,7 +317,7 @@ def ref_is_nash(instance, profile, tol=GAIN_EPS):
         cur = profile[idx]
         pref = instance._pref[idx]
         cur_val = _saving_for_member(instance, idx, groups[cur]) - pen(cur, pref)
-        for a in instance._actions[idx]:
+        for a in feasible_actions(instance, idx + 1):
             if a == cur:
                 continue
             members = groups.get(a)
@@ -325,5 +330,5 @@ def ref_is_nash(instance, profile, tol=GAIN_EPS):
 
 def ref_brute_force_nash(instance):
     return {
-        s for s in itertools.product(*instance._actions) if ref_is_nash(instance, s)
+        s for s in itertools.product(*all_actions(instance)) if ref_is_nash(instance, s)
     }

@@ -423,6 +423,33 @@ def test_scenario_names_the_line_of_a_byte_not_utf8(tmp_path, capsys):
     assert err == "error: line 2: byte 0xe9 is not UTF-8\n"
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_scenario_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.scn"
+    path.write_bytes(BOM + (SCENARIOS / "two-vehicles.scn").read_bytes())
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    assert out.encode() == (ROOT / "tests/golden/solve_two-vehicles_ne.json").read_bytes()
+
+
+def test_byte_order_mark_keeps_the_line_of_a_byte_not_utf8(tmp_path):
+    path = tmp_path / "bom.scn"
+    path.write_bytes(BOM + b"a\n\xff")
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == "line 2: byte 0xff is not UTF-8"
+
+
+def test_byte_order_mark_after_the_start_rejected_at_its_line(tmp_path):
+    path = tmp_path / "bom.scn"
+    path.write_bytes(BOM + (FIG3 + "\ufeffvehicle v4 0 -10 10\n").encode())
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == "line 2: unknown directive '\\ufeffvehicle'"
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_overflowing_saving_rejected_at_its_line(tmp_path, capsys, command):
     # at k_p 1e305 every rate is finite, but the route sums overflow

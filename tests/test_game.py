@@ -21,7 +21,7 @@ from platoonmatch import (
     vehicle_utility,
 )
 from platoonmatch.network import InputError
-from _reference import random_instance, random_profile, ref_penalty, ref_utility
+from _reference import all_actions, random_instance, random_profile, ref_penalty, ref_utility
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ def test_unhashable_custom_saving_accepted(pair):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0] + [10.0**e for e in range(-3, 10)]))
 def test_default_penalty_rows_match_model(seed, k_t):
     inst = random_instance(np.random.default_rng(seed), params=ModelParams(k_t=k_t))
-    for idx, (acts, row) in enumerate(zip(inst._actions, inst._pen)):
+    for idx, (acts, row) in enumerate(zip(all_actions(inst), inst._pen)):
         pref = inst._pref[idx]
         assert [p.hex() for p in row] == [
             ref_penalty(inst.params, a, pref).hex() for a in acts
@@ -501,8 +501,9 @@ def small_instances_with_profiles(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, max_nodes=7, max_vehicles=5)
-    idx = [draw(st.integers(0, len(a) - 1)) for a in inst._actions]
-    return inst, tuple(a[i] for a, i in zip(inst._actions, idx))
+    actions = all_actions(inst)
+    idx = [draw(st.integers(0, len(a) - 1)) for a in actions]
+    return inst, tuple(a[i] for a, i in zip(actions, idx))
 
 
 @settings(max_examples=60, deadline=None)

@@ -43,8 +43,14 @@ from platoonmatch import (
     vehicle_utility,
 )
 from platoonmatch.cli import main
-from platoonmatch.game import _PlatoonState
-from _reference import custom_params, lone_saving_params, random_instance, random_profile
+from platoonmatch.game import _PlatoonState, _check_profile, feasible_actions
+from _reference import (
+    all_actions,
+    custom_params,
+    lone_saving_params,
+    random_instance,
+    random_profile,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -150,10 +156,10 @@ def test_kernel_decisions_match_pinned_hash():
     100 random instances under each of the default, the custom and the
     lone-saving model, each at its preferred profile, its best-response
     equilibrium and three random profiles.  For every vehicle and both
-    objectives, ``_PlatoonState.scan``'s value at the current time, best
-    value over the other actions and smallest action reaching it enter the
-    hash as ``float.hex``, with ``-inf`` and ``None`` for a vehicle with one
-    action.  The cooperative deltas decide near-tie moves without showing in
+    objectives, ``_PlatoonState.scan``'s value at the current action, best
+    value over the other actions and the time of the smallest action reaching
+    it enter the hash as ``float.hex``, with ``-inf`` and ``None`` for a
+    vehicle with one action.  The cooperative deltas decide near-tie moves without showing in
     any reported number.
     """
     rng = np.random.default_rng(2027)
@@ -164,11 +170,13 @@ def test_kernel_decisions_match_pinned_hash():
             profiles = [inst.preferred_profile, brd_solve(inst).final]
             profiles += [random_profile(inst, rng) for _ in range(3)]
             for s in profiles:
-                state = _PlatoonState(inst, s)
-                for idx, t in enumerate(s):
+                ks = _check_profile(inst, s)
+                state = _PlatoonState(inst, ks)
+                for idx, k in enumerate(ks):
+                    acts = feasible_actions(inst, idx + 1)
                     for objective in ("self", "cooperative"):
-                        vcur, vbest, abest = state.scan(idx, t, objective)
-                        best = "None" if abest is None else abest.hex()
+                        vcur, vbest, kbest = state.scan(idx, k, objective)
+                        best = "None" if kbest is None else acts[kbest].hex()
                         h.update(f"{vcur.hex()} {vbest.hex()} {best}\n".encode())
     assert h.hexdigest() == "d37751788c43df44d74d293b398128350b3f11a36e1eaeaa3f4019aef6215947"
 
@@ -187,7 +195,7 @@ def test_oracle_random_instances_match_pinned_hash():
         for params in (None, custom_params(), ModelParams(k_p=0.0)):
             for cap in (1000.0, 300.0, 60.0):
                 inst = random_instance(rng, params=params, max_halfwidth=cap)
-                if np.prod([len(a) for a in inst._actions]) > 20_000:
+                if np.prod([len(a) for a in all_actions(inst)]) > 20_000:
                     h.update(b"skipped\n")
                     continue
                 lines = sorted(" ".join(t.hex() for t in s) for s in brute_force_nash(inst))
@@ -275,7 +283,7 @@ def test_oracle_large_spaces_match_golden(name):
 def test_oracle_large_spaces_memory_per_profile(name):
     # The cap bounds memory only while the arrays stay linear in the space.
     inst = LARGE_ORACLE_INPUTS[name]()
-    size = math.prod(len(a) for a in inst._actions)
+    size = math.prod(len(a) for a in all_actions(inst))
     tracemalloc.start()
     try:
         brute_force_nash(inst)

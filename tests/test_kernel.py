@@ -21,11 +21,13 @@ from platoonmatch import (
     brd_solve,
     brute_force_nash,
     coop_solve,
+    feasible_actions,
     is_nash,
     potential,
     vehicle_utility,
 )
 from _reference import (
+    all_actions,
     custom_params,
     lone_saving_params,
     random_instance,
@@ -86,7 +88,7 @@ def test_best_response_and_is_nash_match_full_recompute(data):
         for idx in range(inst.n_vehicles):
             for objective in ("self", "cooperative"):
                 want = ref_pick(
-                    inst._actions[idx],
+                    feasible_actions(inst, idx + 1),
                     ref_candidate_values(inst, s, idx, objective),
                     s[idx],
                 )
@@ -98,7 +100,7 @@ def test_best_response_and_is_nash_match_full_recompute(data):
 def test_brute_force_nash_matches_full_recompute(data):
     # Up to 12 vehicles; narrow windows leave many of them a single action.
     inst, _ = data
-    if np.prod([len(a) for a in inst._actions]) > 3000:
+    if np.prod([len(a) for a in all_actions(inst)]) > 3000:
         return
     assert brute_force_nash(inst) == ref_brute_force_nash(inst)
 
@@ -124,7 +126,7 @@ def test_properties_hold_across_parameter_scales(seed, kp_scale, kt_scale, lengt
     for idx in range(inst.n_vehicles):
         trial = list(s)
         gaps = []
-        for a in inst._actions[idx]:
+        for a in feasible_actions(inst, idx + 1):
             trial[idx] = a
             gaps.append(potential(inst, trial) - vehicle_utility(inst, trial, idx + 1))
         assert max(gaps) - min(gaps) <= 1e-12 * magnitude

@@ -19,12 +19,15 @@ from platoonmatch import (
     brute_force_nash,
     cooperative_utility,
     coop_solve,
+    evaluate,
+    feasible_actions,
     is_nash,
     paper_fig3,
     potential,
     vehicle_utility,
 )
 from _reference import (
+    all_actions,
     custom_params,
     lone_saving_params,
     random_instance,
@@ -237,8 +240,7 @@ def test_brd_cap_raises(fig3, monkeypatch):
     cap = 10 * inst.n_vehicles * len(inst._all_times)
 
     def restless(self, idx, cur, objective):
-        actions = inst._actions[idx]
-        return 0.0, 1.0, actions[actions.index(cur) - 1]
+        return 0.0, 1.0, (cur - 1) % len(feasible_actions(inst, idx + 1))
 
     monkeypatch.setattr(game._PlatoonState, "scan", restless)
     with pytest.raises(ConvergenceError, match=rf"after {cap} sweeps \(cap {cap}\)"):
@@ -305,10 +307,10 @@ def test_coalition_dp_matches_enumeration():
     checked = 0
     while checked < 40:
         inst = random_instance(rng, max_vehicles=6)
-        if math.prod(len(a) for a in inst._actions) > 5_000:
+        if math.prod(len(a) for a in all_actions(inst)) > 5_000:
             continue
-        best_val, _ = ref_coop_argmax(*_raw(inst), inst._actions)
-        assert ref_coop_dp(*_raw(inst), inst._actions) == pytest.approx(best_val, rel=1e-12)
+        best_val, _ = ref_coop_argmax(*_raw(inst), all_actions(inst))
+        assert ref_coop_dp(*_raw(inst), all_actions(inst)) == pytest.approx(best_val, rel=1e-12)
         checked += 1
 
 
@@ -327,7 +329,7 @@ def _one_action_instance(rng):
 def test_coop_never_beats_the_coalition_optimum(seed, one_action):
     rng = np.random.default_rng(seed)
     inst = _one_action_instance(rng) if one_action else random_instance(rng, max_vehicles=8)
-    best = ref_coop_dp(*_raw(inst), inst._actions)
+    best = ref_coop_dp(*_raw(inst), all_actions(inst))
     value = cooperative_utility(inst, coop_solve(inst).final)
     close = math.isclose(value, best, rel_tol=1e-9, abs_tol=1e-12)
     assert value <= best or close
@@ -340,6 +342,47 @@ def test_coop_start_override(merge_trio):
     assert report.history[0] == (0.0, 0.0, 400.0)
     with pytest.raises(ValueError, match="feasible"):
         coop_solve(merge_trio, start=(7.0, 400.0, 800.0))
+
+
+# ---------------------------------------------------------------------------
+# profile entries: every entry point maps a time to an action index in one place
+
+
+def _profile_answers(inst, s):
+    """What each entry point that takes a profile makes of ``s``."""
+    report = coop_solve(inst, start=s)
+    return (
+        is_nash(inst, s),
+        [best_response(inst, s, v.id, objective)
+         for v in inst.vehicles for objective in ("self", "cooperative")],
+        (report, report.objective_trace),
+        [vehicle_utility(inst, s, v.id) for v in inst.vehicles],
+        evaluate(inst, s),
+    )
+
+
+@pytest.mark.parametrize("kind", [int, np.float64, np.float32])
+def test_profile_entries_equal_to_actions_act_as_the_floats(merge_trio, kind):
+    # every action of merge_trio is a whole number, exact as a float32 too
+    for s in itertools.product(*all_actions(merge_trio)):
+        expected = _profile_answers(merge_trio, s)
+        assert _profile_answers(merge_trio, tuple(kind(t) for t in s)) == expected
+
+
+@pytest.mark.parametrize("bad", [50.0, float("nan"), None, [400.0]])
+def test_profile_entries_not_actions_rejected_everywhere(merge_trio, bad):
+    # vehicle 2's actions are 0, 400 and 800: 50.0 lies between two of them
+    s = (0.0, bad, 800.0)
+    message = re.escape(f"vehicle 2: departure time {bad!r} is not a feasible action")
+    for call in (
+        lambda: is_nash(merge_trio, s),
+        lambda: best_response(merge_trio, s, 1),
+        lambda: coop_solve(merge_trio, start=s),
+        lambda: vehicle_utility(merge_trio, s, 1),
+        lambda: evaluate(merge_trio, s),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +508,7 @@ def test_brute_force_agrees_with_solver_and_potential_argmax():
     while checked < 30:
         inst = random_instance(rng, max_nodes=8, max_vehicles=5)
         space = 1
-        for a in inst._actions:
+        for a in all_actions(inst):
             space *= len(a)
         if space > 10_000:
             continue
@@ -475,7 +518,7 @@ def test_brute_force_agrees_with_solver_and_potential_argmax():
         assert brd_solve(inst).final in equilibria
         # the global potential maximizer is always an equilibrium
         best = max(
-            itertools.product(*inst._actions), key=lambda s: potential(inst, s)
+            itertools.product(*all_actions(inst)), key=lambda s: potential(inst, s)
         )
         assert best in equilibria
 
@@ -576,7 +619,7 @@ def test_brute_force_late_mover_without_mates(fig3, model):
         Vehicle(6, "v5", 1100.0, (1100.0, 1100.0)),
     ]
     inst = Instance(fig3, vehicles, model())
-    assert [len(a) for a in inst._actions] == [2] * 5 + [1]
+    assert [len(a) for a in all_actions(inst)] == [2] * 5 + [1]
     assert brute_force_nash(inst) == ref_brute_force_nash(inst)
 
 
@@ -590,7 +633,7 @@ def test_brute_force_mates_at_every_depth(fig3, model):
     ]
     vehicles.append(Vehicle(9, "v10", 100.0, (100.0, 100.0)))
     inst = Instance(fig3, vehicles, model())
-    assert [len(a) for a in inst._actions] == [3] * 8 + [1]
+    assert [len(a) for a in all_actions(inst)] == [3] * 8 + [1]
     assert brute_force_nash(inst) == ref_brute_force_nash(inst)
 
 
@@ -600,10 +643,10 @@ def test_brute_force_all_ties_keeps_every_profile(fig3):
     config = pm.ScenarioConfig(network=fig3, n_vehicles=6, alpha=300.0, seed=0,
                                params=ModelParams(k_p=0.0, k_t=0.0))
     inst = pm.generate_scenario(config)
-    assert [len(a) for a in inst._actions] == [6] * 6
+    assert [len(a) for a in all_actions(inst)] == [6] * 6
     equilibria = brute_force_nash(inst)
     assert len(equilibria) == 46_656
-    assert equilibria == set(itertools.product(*inst._actions))
+    assert equilibria == set(itertools.product(*all_actions(inst)))
 
 
 @pytest.mark.parametrize("penalty, equilibria", [
@@ -627,5 +670,5 @@ def test_brute_force_breaks_near_ties_as_is_nash(penalty, equilibria):
         Vehicle(1, "p4", 100.0, (0.0, 100.0)),
         Vehicle(2, "p2", 0.0, (0.0, 0.0)),
     ], params)
-    assert {s for s in itertools.product(*inst._actions) if is_nash(inst, s)} == equilibria
+    assert {s for s in itertools.product(*all_actions(inst)) if is_nash(inst, s)} == equilibria
     assert brute_force_nash(inst) == ref_brute_force_nash(inst) == equilibria
