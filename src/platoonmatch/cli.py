@@ -212,10 +212,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Instanc
 
     ``seed_override`` replaces the file's generator seed (explicit-vehicle
     files ignore it: they contain no randomness).  The file is UTF-8, may
-    start with a byte-order mark, and its lines end at ``\n`` alone.  Every rejection of a declared value names
-    the line that declared it, and a byte that is not UTF-8 names its line.
+    start with a byte-order mark, and its lines end at ``\n`` alone.  Every
+    rejection of a declared value names the line that declared it, and a
+    byte that is not UTF-8 names its line.
     """
-    # the mark is cut off the bytes, so an undecodable byte's offset still counts its lines
+    # the mark is cut off the bytes, not decoded as "utf-8-sig", whose error
+    # offsets skip it: so an offset indexes ``data`` and counts its lines
     data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")

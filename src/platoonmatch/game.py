@@ -282,18 +282,18 @@ def _lone_share(profile: Profile) -> float:
 class _PlatoonState:
     """Per-edge head counts of every occupied departure time of one profile.
 
-    Built from action indices (``_check_profile``'s), like every argument and
-    result of its methods.  ``counts[slot][e]`` is the number of vehicles
-    departing at ``_all_times[slot]`` whose route uses edge ``e``, and
-    ``counts[slot]`` is ``None`` where nobody departs.  A move touches two
-    count lists in O(|route|).  One walk, ``scan``, scores every action of a
-    vehicle from them, in O(|route|) when the time is occupied and in O(1)
-    when it is not, for its utilities and for the cooperative deltas alike.
-    The solvers, the equilibrium check and the reported utilities score
-    vehicles here and nowhere else; the reported sums over whole platoons come
-    from ``_edge_sum``.  Every route starts on the root's single outgoing
-    edge, so ``counts[slot][route[0]]`` is the platoon size and a list is
-    dropped once that reaches zero.
+    Built from action indices (``_check_profile``'s); its methods take and
+    return action indices, never times.  ``counts[slot][e]`` is the number
+    of vehicles departing at ``_all_times[slot]`` whose route uses edge
+    ``e``, and ``counts[slot]`` is ``None`` where nobody departs.  A move
+    touches two count lists in O(|route|).  One walk, ``scan``, scores every
+    action of a vehicle from them, in O(|route|) when the time is occupied
+    and in O(1) when it is not, for its utilities and for the cooperative
+    deltas alike.  The solvers, the equilibrium check and the reported
+    utilities score vehicles here and nowhere else; the reported sums over
+    whole platoons come from ``_edge_sum``.  Every route starts on the root's
+    single outgoing edge, so ``counts[slot][route[0]]`` is the platoon size
+    and a list is dropped once that reaches zero.
     """
 
     def __init__(self, instance: Instance, ks: Sequence[int]):
