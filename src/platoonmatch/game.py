@@ -249,7 +249,9 @@ def _check_profile(instance: Instance, profile: Profile) -> list[int]:
     """Each entry's action index ``k``: it departs at slot ``_first[idx] + k`` of
     ``_all_times`` and costs ``_pen[idx][k]``.  ValueError for a wrong length or
     an entry equal to none of its vehicle's actions.  The one place a time is
-    mapped: a bisect in ``_all_times`` bounded to the vehicle's slots.
+    mapped: a bisect in ``_all_times`` bounded to the vehicle's slots.  Every
+    entry point calls it once per profile, directly or by building a
+    ``_PlatoonState``, which keeps the indices for the scoring after it.
     """
     if len(profile) != instance.n_vehicles:
         raise ValueError(f"profile has {len(profile)} entries for {instance.n_vehicles} vehicles")
@@ -280,27 +282,33 @@ def _lone_share(profile: Profile) -> float:
 
 
 class _PlatoonState:
-    """Per-edge head counts of every occupied departure time of one profile.
+    """One profile and the per-edge head counts of its occupied departure times.
 
-    Built from action indices (``_check_profile``'s); its methods take and
-    return action indices, never times.  ``counts[slot][e]`` is the number
-    of vehicles departing at ``_all_times[slot]`` whose route uses edge
-    ``e``, and ``counts[slot]`` is ``None`` where nobody departs.  A move
-    touches two count lists in O(|route|).  One walk, ``scan``, scores every
-    action of a vehicle from them, in O(|route|) when the time is occupied
-    and in O(1) when it is not, for its utilities and for the cooperative
-    deltas alike.  The solvers, the equilibrium check and the reported
-    utilities score vehicles here and nowhere else; the reported sums over
-    whole platoons come from ``_edge_sum``.  Every route starts on the root's
-    single outgoing edge, so ``counts[slot][route[0]]`` is the platoon size
-    and a list is dropped once that reaches zero.
+    Built from a profile, which it maps once through ``_check_profile``; it
+    owns what it scores: ``ks``, each vehicle's action index, ``times``, its
+    departure time (the entries as given until the vehicle moves), and
+    ``counts``.  Its methods take and return action indices and read each
+    vehicle's current action from ``ks``; no caller keeps one beside it.
+    ``counts[slot][e]`` is the number of vehicles departing at
+    ``_all_times[slot]`` whose route uses edge ``e``, and ``counts[slot]`` is
+    ``None`` where nobody departs.  A move touches two count lists in
+    O(|route|).  One walk, ``scan``, scores every action of a vehicle from
+    them, in O(|route|) when the time is occupied and in O(1) when it is
+    not, for its utilities and for the cooperative deltas alike.  The
+    solvers, the equilibrium check and the reported utilities score vehicles
+    here and nowhere else; the reported sums over whole platoons come from
+    ``_edge_sum``.  Every route starts on the root's single outgoing edge, so
+    ``counts[slot][route[0]]`` is the platoon size and a list is dropped once
+    that reaches zero.
     """
 
-    def __init__(self, instance: Instance, ks: Sequence[int]):
+    def __init__(self, instance: Instance, profile: Profile):
         self._instance = instance
+        self.ks = _check_profile(instance, profile)
+        self.times = list(profile)
         self._empty = [0] * len(instance._lengths)
         self.counts: list[list[int] | None] = [None] * len(instance._all_times)
-        for idx, k in enumerate(ks):
+        for idx, k in enumerate(self.ks):
             self._add(idx, k, 1)
 
     def _add(self, idx: int, k: int, step: int) -> None:
@@ -315,24 +323,32 @@ class _PlatoonState:
         if not c[route[0]]:
             self.counts[slot] = None
 
-    def move(self, idx: int, old: int, new: int) -> None:
-        """Vehicle ``idx`` switches from its action ``old`` to its action ``new``."""
-        self._add(idx, old, -1)
-        self._add(idx, new, 1)
+    def move(self, idx: int, k: int) -> None:
+        """Vehicle ``idx`` switches to its action ``k``, departing at its slot's time."""
+        inst = self._instance
+        self._add(idx, self.ks[idx], -1)
+        self._add(idx, k, 1)
+        self.ks[idx] = k
+        self.times[idx] = inst._all_times[inst._first[idx] + k]
 
-    def route_sum(self, idx: int, k: int, table: Sequence[float]) -> float:
+    def route_sum(self, idx: int, table: Sequence[float]) -> float:
         """``sum table[n(e)] * d(e)`` over vehicle ``idx``'s route, in route order,
-        where ``n(e)`` is the head count of its action ``k`` on edge ``e``."""
+        where ``n(e)`` is the head count of its current action on edge ``e``
+        (never 0 on the route, the vehicle itself departs there)."""
         inst = self._instance
         lengths = inst._lengths
-        c = self.counts[inst._first[idx] + k] or self._empty
+        c = self.counts[inst._first[idx] + self.ks[idx]]
         total = 0.0
         for e in inst._routes[idx]:
             total += table[c[e]] * lengths[e]
         return total
 
-    def scan(self, idx: int, cur: int, objective: str) -> tuple[float, float, int | None]:
-        """``(vcur, vbest, kbest)``: vehicle ``idx``'s value at its action ``cur``
+    def utility(self, idx: int) -> float:
+        """Vehicle ``idx``'s saving along its route minus its penalty, at its current action."""
+        return self.route_sum(idx, self._instance._f) - self._instance._pen[idx][self.ks[idx]]
+
+    def scan(self, idx: int, objective: str) -> tuple[float, float, int | None]:
+        """``(vcur, vbest, kbest)``: vehicle ``idx``'s value at its current action
         under ``objective``, the largest value over its other actions (``-inf``
         if none) and the smallest action index reaching that (``None`` if none).
 
@@ -340,9 +356,9 @@ class _PlatoonState:
         ``sum table[n(e)] * d(e)`` over the route counting the vehicle in that
         action's platoon and ``p`` its penalty.  For ``"self"``, ``table`` is
         ``f`` and ``leave = pen_cur = 0.0``: the utility, bit for bit.  Else it
-        is ``dg`` and ``leave, pen_cur`` are ``s, p`` at ``cur``: the change in
-        the sum of all utilities, since in a platoon the vehicle adds ``dg[n(e)]
-        * d(e)`` on each edge of its route.  An unoccupied action reads
+        is ``dg`` and ``leave, pen_cur`` are ``s, p`` at the current action: the
+        change in the sum of all utilities, since in a platoon the vehicle adds
+        ``dg[n(e)] * d(e)`` on each edge of its route.  An unoccupied action reads
         ``Instance._alone`` in O(1): ``table[1]`` is ``f(1)`` bit for bit for both.
         The loop walks the vehicle's slots of ``counts`` and its penalty row together.
         """
@@ -350,7 +366,8 @@ class _PlatoonState:
         table = inst._f if objective == "self" else inst._dg
         first = inst._first[idx]
         pens = inst._pen[idx]
-        s_cur = self.route_sum(idx, cur, table)
+        cur = self.ks[idx]
+        s_cur = self.route_sum(idx, table)
         p_cur = pens[cur]
         leave, pen_cur = (0.0, 0.0) if objective == "self" else (s_cur, p_cur)
         vcur = (s_cur - leave) - (p_cur - pen_cur)
@@ -391,10 +408,7 @@ def feasible_actions(instance: Instance, vehicle_id: int) -> tuple[float, ...]:
 
 def vehicle_utility(instance: Instance, profile: Profile, vehicle_id: int) -> float:
     """Platooning saving along the vehicle's route minus its deviation penalty."""
-    ks = _check_profile(instance, profile)
-    idx = _index_of(instance, vehicle_id)
-    saving = _PlatoonState(instance, ks).route_sum(idx, ks[idx], instance._f)
-    return saving - instance._pen[idx][ks[idx]]
+    return _PlatoonState(instance, profile).utility(_index_of(instance, vehicle_id))
 
 
 def _edge_sum(instance: Instance, groups: dict[float, list[int]], table: Sequence[float]) -> float:
@@ -424,7 +438,12 @@ def potential(instance: Instance, profile: Profile) -> float:
     this by exactly the deviating vehicle's utility change.
     """
     ks = _check_profile(instance, profile)
-    total = _edge_sum(instance, _groups(profile), instance._r)
+    return _potential(instance, _groups(profile), ks)
+
+
+def _potential(instance: Instance, groups: dict[float, list[int]], ks: Sequence[int]) -> float:
+    """``potential`` of the profile with these groups and action indices."""
+    total = _edge_sum(instance, groups, instance._r)
     for pens, k in zip(instance._pen, ks):
         total -= pens[k]
     return total
@@ -453,20 +472,15 @@ def nonplatooning_fraction(instance: Instance, profile: Profile) -> float:
 
 def evaluate(instance: Instance, profile: Profile) -> Outcome:
     """Partition, per-vehicle utilities, potential, and summary metrics."""
-    ks = _check_profile(instance, profile)
+    state = _PlatoonState(instance, profile)
     groups = _groups(profile)
-    state = _PlatoonState(instance, ks)
-    f = instance._f
-    utilities = tuple(
-        state.route_sum(idx, k, f) - instance._pen[idx][k] for idx, k in enumerate(ks)
-    )
     partition = tuple(
         (t, tuple(j + 1 for j in members)) for t, members in sorted(groups.items())
     )
     return Outcome(
         partition=partition,
-        utilities=utilities,
-        potential=potential(instance, profile),
+        utilities=tuple(state.utility(idx) for idx in range(instance.n_vehicles)),
+        potential=_potential(instance, groups, state.ks),
         total_fuel_saving=_edge_sum(instance, groups, instance._g),
         nonplatooning_fraction=_lone_share(profile),
     )

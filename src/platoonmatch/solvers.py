@@ -58,11 +58,11 @@ class SolveReport:
         return [metric(self.instance, s) for s in self.history]
 
 
-def _decide(state: game._PlatoonState, idx: int, cur: int, objective: str) -> int:
-    """Keep the current action index unless another action beats it by more than
-    GAIN_EPS; otherwise move to the smallest one attaining the maximum."""
-    vcur, vbest, kbest = state.scan(idx, cur, objective)
-    return cur if vcur >= vbest - GAIN_EPS else kbest
+def _decide(state: game._PlatoonState, idx: int, objective: str) -> int | None:
+    """``None`` to keep the current action unless another action beats it by more
+    than GAIN_EPS; otherwise the smallest action index attaining the maximum."""
+    vcur, vbest, kbest = state.scan(idx, objective)
+    return None if vcur >= vbest - GAIN_EPS else kbest
 
 
 def best_response(
@@ -78,37 +78,32 @@ def best_response(
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    ks = game._check_profile(instance, profile)
+    state = game._PlatoonState(instance, profile)
     idx = game._index_of(instance, vehicle_id)
-    k = _decide(game._PlatoonState(instance, ks), idx, ks[idx], objective)
-    return instance._all_times[instance._first[idx] + k]
+    k = _decide(state, idx, objective)
+    return instance._all_times[instance._first[idx] + (state.ks[idx] if k is None else k)]
 
 
 def _sweep_solve(instance: Instance, objective: str, start: Profile | None = None) -> SolveReport:
     n = instance.n_vehicles
     max_sweeps = 10 * n * len(instance._all_times)
-    s = list(instance._pref if start is None else start)
-    ks = game._check_profile(instance, s)  # ``s`` holds the times, ``ks`` their action indices
-    state = game._PlatoonState(instance, ks)
-    history = [tuple(s)]
+    state = game._PlatoonState(instance, instance._pref if start is None else start)
+    history = [tuple(state.times)]
     rounds = 0
     last = n - 1  # the previous sweep's last mover; n - 1 runs the first sweep in full
     while True:
         mover = -1
         for idx in range(n):
-            cur = ks[idx]
-            k = _decide(state, idx, cur, objective)
-            if k != cur:
-                state.move(idx, cur, k)
-                ks[idx] = k
-                s[idx] = instance._all_times[instance._first[idx] + k]
+            k = _decide(state, idx, objective)
+            if k is not None:
+                state.move(idx, k)
                 mover = idx
             elif idx == last and mover < 0:
                 # Nothing has moved since it did, so every later vehicle faces
                 # the state it stayed in last sweep: this sweep is the fixed point.
                 break
         rounds += 1
-        history.append(tuple(s))
+        history.append(tuple(state.times))
         if mover < 0:
             break
         last = mover
@@ -117,7 +112,7 @@ def _sweep_solve(instance: Instance, objective: str, start: Profile | None = Non
                 f"no fixed point after {rounds} sweeps (cap {max_sweeps}); "
                 "this should be impossible for a finite exact potential game"
             )
-    return SolveReport(tuple(s), history, rounds, instance, objective)
+    return SolveReport(history[-1], history, rounds, instance, objective)
 
 
 def brd_solve(instance: Instance) -> SolveReport:
@@ -154,10 +149,9 @@ def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool
     """
     if not is_real(tol):
         raise ValueError(f"tol must be a finite number, got {tol!r}")
-    ks = game._check_profile(instance, profile)
-    state = game._PlatoonState(instance, ks)
-    for idx, k in enumerate(ks):
-        vcur, vbest, _ = state.scan(idx, k, "self")
+    state = game._PlatoonState(instance, profile)
+    for idx in range(instance.n_vehicles):
+        vcur, vbest, _ = state.scan(idx, "self")
         if vbest > vcur + tol:
             return False
     return True
@@ -191,12 +185,13 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     for all of the first ones.  Once scoring a list of the profiles left
     (``width * (mates + 1)`` codes each, plus one action index per mover)
     costs less than the space, the action indices are listed, and every
-    later vehicle is scored the same way on the list alone.  Each product,
-    sum and comparison is the IEEE operation the kernel makes, in the
-    kernel's order, so the set has the kernel's bits.  The check's arrays
-    peak at 6-24 bytes per profile (24 where ties keep every profile to the
-    last vehicle), so the cap bounds them; listing the equilibria and their
-    set come on top, about 200 bytes each for 7 vehicles (400 for 18).
+    later vehicle is scored the same way on the list alone.  A listing reads
+    each mover's indices off one array of the stable profiles' flat indices.
+    Each product, sum and comparison is the IEEE operation the kernel makes,
+    in the kernel's order, so the set has the kernel's bits.  The check's
+    arrays peak at 3-24 bytes per profile (24 where ties keep every profile
+    to the last vehicle), so the cap bounds them; listing the equilibria and
+    their set come on top, about 200 bytes each for 7 vehicles (400 for 18).
     Time is worst with one mate per depth, two actions each, where a table
     is as large as the mates' space (nested routes on a path: 0.06 s for
     2**18 profiles on a 2-vCPU VM).
@@ -230,6 +225,13 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     def narrow(columns):
         """Each mover's action indices, in the smallest dtype that fits."""
         return {j: ks.astype(np.min_scalar_type(widths[j] - 1)) for j, ks in zip(movers, columns)}
+
+    def listing(stable):
+        """Each mover's action index in every profile ``stable`` marks, one entry
+        per profile, read off one array of flat indices one axis at a time."""
+        flat = np.flatnonzero(stable)  # a 0-d mask holds one profile and lists no column
+        # a bool array of its own, so its byte strides count elements
+        return narrow(flat // step % w for step, w in zip(stable.strides, stable.shape))
 
     try:
         stable = np.ones([widths[idx] for idx in movers], dtype=bool)
@@ -271,7 +273,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             stride = (np.array(table.strides) // table.itemsize).astype(code_type)
             if stable is not None and left * (width * (len(mates) + 1) + len(movers)) < size:
                 # Few profiles are left: scoring a list of them costs less than the space.
-                cols = narrow(np.nonzero(stable))
+                cols = listing(stable)
                 stable = None
             # The codes get the vehicle's own action as a leading axis, and the
             # mates' axes are added last to first, so numpy's loops run long.
@@ -296,8 +298,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
                 left = int(np.count_nonzero(keep))
             del ok
         if stable is not None:
-            # a 0-d space (no movers) holds its one profile and lists no column
-            cols = narrow(np.nonzero(np.atleast_1d(stable)))
+            cols = listing(stable)
     except MemoryError:  # numpy's own error would end the CLI in a traceback
         raise ValueError(too_many) from None
     columns = [[times[lo]] * left for lo in first]

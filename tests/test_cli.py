@@ -529,6 +529,22 @@ def test_solve_single_vehicle(capsys, tmp_path):
     assert payload["nonplatooning_fraction"] == 1.0
 
 
+@pytest.mark.parametrize("mode", ["ne", "coop"])
+def test_solve_keeps_the_entries_of_vehicles_that_never_move(capsys, tmp_path, mode):
+    # -0.0 == 0.0, so vehicles 1 and 2 share one slot, whose time is the -0.0
+    # seen first; vehicle 2 never moves, so it keeps its own 0.0 as given
+    path = tmp_path / "zeros.scn"
+    path.write_text(
+        "network preset paper-fig3\n"
+        "vehicle v4 -0 -500 500\nvehicle v7 0 -500 500\nvehicle v9 3000 2900 3100\n"
+    )
+    code, out, _ = run_cli(capsys, "solve", str(path), "--mode", mode)
+    payload = json.loads(out)
+    assert code == 0
+    assert [repr(t) for t in payload["profile"]] == ["-0.0", "0.0", "3000.0"]
+    assert [repr(p["time"]) for p in payload["partition"]] == ["-0.0", "3000.0"]
+
+
 def test_solve_csv_format(capsys, two_vehicles):
     code, out, _ = run_cli(capsys, "solve", str(two_vehicles), "--format", "csv")
     assert code == 0

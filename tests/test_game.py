@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from platoonmatch import (
     total_fuel_saving,
     vehicle_utility,
 )
+from platoonmatch import game
+from platoonmatch.cli import load_scenario
 from platoonmatch.network import InputError
 from _reference import all_actions, random_instance, random_profile, ref_penalty, ref_utility
 
@@ -377,6 +380,21 @@ def test_evaluate_matches_pieces(pair):
         assert out.potential == pytest.approx(potential(pair, s))
         assert out.total_fuel_saving == pytest.approx(total_fuel_saving(pair, s))
         assert out.nonplatooning_fraction == nonplatooning_fraction(pair, s)
+
+
+def test_evaluate_reads_its_profile_once(monkeypatch):
+    # the partition, the utilities and the potential share one mapping of the profile
+    inst = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "coop-merge.scn")
+    calls = []
+    check = game._check_profile
+
+    def counted(instance, profile):
+        calls.append(profile)
+        return check(instance, profile)
+
+    monkeypatch.setattr(game, "_check_profile", counted)
+    evaluate(inst, inst.preferred_profile)
+    assert calls == [inst.preferred_profile]
 
 
 def test_reported_numbers_read_penalties_from_instance(fig3):

@@ -43,7 +43,7 @@ from platoonmatch import (
     vehicle_utility,
 )
 from platoonmatch.cli import main
-from platoonmatch.game import _PlatoonState, _check_profile, feasible_actions
+from platoonmatch.game import _PlatoonState, feasible_actions
 from _reference import (
     all_actions,
     custom_params,
@@ -170,12 +170,11 @@ def test_kernel_decisions_match_pinned_hash():
             profiles = [inst.preferred_profile, brd_solve(inst).final]
             profiles += [random_profile(inst, rng) for _ in range(3)]
             for s in profiles:
-                ks = _check_profile(inst, s)
-                state = _PlatoonState(inst, ks)
-                for idx, k in enumerate(ks):
+                state = _PlatoonState(inst, s)
+                for idx in range(inst.n_vehicles):
                     acts = feasible_actions(inst, idx + 1)
                     for objective in ("self", "cooperative"):
-                        vcur, vbest, kbest = state.scan(idx, k, objective)
+                        vcur, vbest, kbest = state.scan(idx, objective)
                         best = "None" if kbest is None else acts[kbest].hex()
                         h.update(f"{vcur.hex()} {vbest.hex()} {best}\n".encode())
     assert h.hexdigest() == "d37751788c43df44d74d293b398128350b3f11a36e1eaeaa3f4019aef6215947"

@@ -214,9 +214,9 @@ def test_confirming_sweep_stops_after_last_mover(fig3, monkeypatch):
     scored = []
     original = game._PlatoonState.scan
 
-    def counted(self, idx, cur, objective):
+    def counted(self, idx, objective):
         scored.append(idx)
-        return original(self, idx, cur, objective)
+        return original(self, idx, objective)
 
     monkeypatch.setattr(game._PlatoonState, "scan", counted)
     pref = inst.preferred_profile
@@ -239,8 +239,8 @@ def test_brd_cap_raises(fig3, monkeypatch):
     inst = same_dest_pair(fig3)
     cap = 10 * inst.n_vehicles * len(inst._all_times)
 
-    def restless(self, idx, cur, objective):
-        return 0.0, 1.0, (cur - 1) % len(feasible_actions(inst, idx + 1))
+    def restless(self, idx, objective):
+        return 0.0, 1.0, (self.ks[idx] - 1) % len(feasible_actions(inst, idx + 1))
 
     monkeypatch.setattr(game._PlatoonState, "scan", restless)
     with pytest.raises(ConvergenceError, match=rf"after {cap} sweeps \(cap {cap}\)"):
