@@ -56,8 +56,9 @@ class ScenarioConfig:
             )
         if self.n_vehicles < 1:
             raise InputError("n_vehicles", f"n_vehicles must be >= 1, got {self.n_vehicles}")
-        alpha, h = (nonnegative_float(name, getattr(self, name))
-                    for name in ("alpha", "window_halfwidth"))
+        for name in ("alpha", "window_halfwidth"):  # kept as checked, so never -0.0
+            object.__setattr__(self, name, nonnegative_float(name, getattr(self, name)))
+        alpha, h = self.alpha, self.window_halfwidth
         # bounds every window (t - h, t + h) and its width, for t in [0, alpha]
         if not math.isfinite((alpha + h) + h):
             raise InputError("window_halfwidth", f"window_halfwidth {h!r} is too large for "
@@ -88,7 +89,7 @@ def generate_scenario(config: ScenarioConfig) -> Instance:
     pool = config.destination_pool
     picks = rng.integers(0, len(pool), size=config.n_vehicles)
     times = rng.uniform(0.0, config.alpha, size=config.n_vehicles)
-    h = float(config.window_halfwidth)
+    h = config.window_halfwidth
     vehicles = [
         Vehicle(id=i, destination=pool[k], preferred_time=t, window=(t - h, t + h))
         for i, (k, t) in enumerate(zip(picks.tolist(), times.tolist()), start=1)

@@ -248,7 +248,8 @@ def _index_of(instance: Instance, vehicle_id: int) -> int:
 def _check_profile(instance: Instance, profile: Profile) -> list[int]:
     """Each entry's action index ``k``: it departs at slot ``_first[idx] + k`` of
     ``_all_times`` and costs ``_pen[idx][k]``.  ValueError for a wrong length or
-    an entry equal to none of its vehicle's actions.  The one place a time is
+    an entry equal to none of its vehicle's actions or not a real number (a
+    bool is none, as ``is_real`` says).  The one place a time is
     mapped: a bisect in ``_all_times`` bounded to the vehicle's slots.  Every
     entry point calls it once per profile, directly or by building a
     ``_PlatoonState``, which keeps the indices for the scoring after it.
@@ -259,10 +260,8 @@ def _check_profile(instance: Instance, profile: Profile) -> list[int]:
     ks = []
     for idx, (t, lo, pens) in enumerate(zip(profile, instance._first, instance._pen)):
         hi = lo + len(pens)
-        try:
-            slot = bisect_left(times, t, lo, hi)
-        except TypeError:  # not orderable against a float, so not an action
-            slot = hi
+        # no bool or non-number is a time; a float skips the call, as inf and nan match none
+        slot = bisect_left(times, t, lo, hi) if type(t) is float or is_real(t) else hi
         if slot == hi or times[slot] != t:
             raise ValueError(f"vehicle {idx + 1}: departure time {t!r} is not a feasible action")
         ks.append(slot - lo)

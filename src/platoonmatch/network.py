@@ -45,10 +45,12 @@ def is_count(value) -> bool:
 
 
 def nonnegative_float(name: str, value) -> float:
-    """``float(value)`` for a real number that is finite and >= 0, else ``InputError(name)``."""
+    """``abs(float(value))`` for a real number that is finite and >= 0, else
+    ``InputError(name)``; ``abs`` turns ``-0.0`` into ``0.0``, so no checked
+    value carries a sign bit."""
     if not (is_real(value) and value >= 0):
         raise InputError(name, f"{name} must be finite and >= 0, got {value!r}")
-    return float(value)
+    return abs(float(value))
 
 
 class RoadNetwork:

@@ -25,7 +25,8 @@ from .game import Instance, Profile
 from .network import is_count, is_real
 
 #: Gains at or below this threshold count as floating-point noise: a vehicle
-#: keeps its current action unless some alternative beats it by more.
+#: keeps its current action unless some alternative's value exceeds its
+#: current value plus this (``_decide``).
 GAIN_EPS = 1e-12
 
 _OBJECTIVES = ("self", "cooperative")
@@ -58,11 +59,16 @@ class SolveReport:
         return [metric(self.instance, s) for s in self.history]
 
 
-def _decide(state: game._PlatoonState, idx: int, objective: str) -> int | None:
-    """``None`` to keep the current action unless another action beats it by more
-    than GAIN_EPS; otherwise the smallest action index attaining the maximum."""
+def _decide(
+    state: game._PlatoonState, idx: int, objective: str, tol: float = GAIN_EPS
+) -> int | None:
+    """``None`` to keep the current action unless another beats it by more than
+    ``tol``, that is ``vbest > vcur + tol``; otherwise the smallest action index
+    attaining the maximum.  The one test of a gain against the tolerance: the
+    sweeps stop, and ``is_nash`` accepts, exactly where it keeps every vehicle;
+    ``brute_force_nash`` makes the same comparison on arrays."""
     vcur, vbest, kbest = state.scan(idx, objective)
-    return None if vcur >= vbest - GAIN_EPS else kbest
+    return kbest if vbest > vcur + tol else None
 
 
 def best_response(
@@ -142,19 +148,15 @@ def coop_solve(instance: Instance, start: Profile | None = None) -> SolveReport:
 def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
     """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone.
 
-    Each vehicle is scored by the best-response kernel (``_PlatoonState.scan``):
-    only the best of its other actions is held against its current value plus
-    ``tol``, so a vehicle with one action is stable under any ``tol``,
-    negative ones included.
+    That is, ``_decide(..., "self", tol)``, the sweeps' stop test, keeps every
+    vehicle: only the best of its other actions is held against its current
+    value plus ``tol``, so a vehicle with one action is stable under any
+    ``tol``, negative ones included.
     """
     if not is_real(tol):
         raise ValueError(f"tol must be a finite number, got {tol!r}")
     state = game._PlatoonState(instance, profile)
-    for idx in range(instance.n_vehicles):
-        vcur, vbest, _ = state.scan(idx, "self")
-        if vbest > vcur + tol:
-            return False
-    return True
+    return all(_decide(state, idx, "self", tol) is None for idx in range(instance.n_vehicles))
 
 
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
@@ -179,7 +181,10 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     at each own action adds the stride of each mate whose action index is
     the one it has at that time, found by slot arithmetic; one gather
     scores the vehicle, and it is
-    stable where no action beats that by more than GAIN_EPS.
+    stable where no action beats that by more than GAIN_EPS: ``best <= u +
+    GAIN_EPS`` is ``_decide``'s rule, ``vbest > vcur + tol`` negated, over
+    every profile at once (``best`` may be the current action's own value,
+    which never beats it).
 
     The vehicles are scored one after another, and few profiles stay stable
     for all of the first ones.  Once scoring a list of the profiles left

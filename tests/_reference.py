@@ -278,11 +278,11 @@ def ref_candidate_values(instance, profile, idx, objective):
 
 def ref_pick(actions, values, current):
     """Keep the current action unless beaten by more than GAIN_EPS, else the
-    smallest action attaining the maximum."""
+    smallest action attaining the maximum; the comparison is ``ref_is_nash``'s."""
     vmax = max(values)
-    if values[actions.index(current)] >= vmax - GAIN_EPS:
-        return current
-    return next(a for a, v in zip(actions, values) if v == vmax)
+    if vmax > values[actions.index(current)] + GAIN_EPS:
+        return next(a for a, v in zip(actions, values) if v == vmax)
+    return current
 
 
 def ref_sweep_solve(instance, objective, start=None):

@@ -704,6 +704,31 @@ def test_sweep_alpha_range_parsing(capsys, tmp_path):
     assert rows[2].split(",")[0] == "150.0"
 
 
+@pytest.mark.parametrize("key", ["alpha", "halfwidth"])
+def test_generated_negative_zero_solves_as_zero(capsys, tmp_path, key):
+    # a checked value carries no sign bit, so numpy never sees the bounds (0.0, -0.0)
+    outputs = []
+    for value in ("0", "-0"):
+        path = tmp_path / f"gen{value}.scn"
+        other = "" if key == "alpha" else "generate alpha 300\n"
+        path.write_text(GEN + other + f"generate {key} {value}\n")
+        outputs.append(run_cli(capsys, "solve", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+def test_sweep_negative_zero_alpha_is_zero(capsys, tmp_path):
+    # -0 seeds its replications like 0, and either order of the pair keeps one row
+    written = []
+    for alphas in ("0", "-0", "0,-0", "-0,0"):
+        out = tmp_path / f"{len(written)}.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--n", "3", "--reps", "2", f"--alphas={alphas}",
+                             "--out", str(out))
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[1:] == written[:1] * 3
+
+
 def test_alpha_range_keeps_its_values_up_to_the_limit():
     # the longest range the limit accepts, and the default grid as a range
     assert _parse_alphas("0:9999:1") == [float(k) for k in range(10_000)]

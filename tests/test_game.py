@@ -122,6 +122,12 @@ def test_instance_rejects_unknown_destination(fig3):
         assert exc.value.subject == 1
 
 
+def test_instance_repr_and_foreign_equality(fig3, pair):
+    assert repr(pair) == "Instance(2 vehicles on RoadNetwork(13 nodes, 12 edges, root='v1'))"
+    assert pair.__eq__(fig3) is NotImplemented
+    assert pair != fig3
+
+
 def test_profile_validation(pair):
     # both vehicles' actions are (0.0, 100.0): 50.0 lies between two of them
     for bad in (50.0, -1.0, 700.0, float("nan"), None, "x"):

@@ -3,9 +3,10 @@
 The sweep and solve files under ``tests/golden/`` were written by the
 full-recompute evaluation code that preceded the incremental platoon-state
 kernel, the ``oracle_*.txt`` files by the enumeration that followed the
-profiles with that kernel's state.  Any change to solver decisions, round
-counts, the equilibrium set or the summation order of the reported numbers
-shows up here as a byte difference.  Four hash pins extend this to a
+profiles with that kernel's state, and ``demo-fig4_seed60.txt`` by the
+kernel before the solvers and ``is_nash`` shared one stability rule.  Any
+change to solver decisions, round counts, the equilibrium set or the
+summation order of the reported numbers shows up here as a byte difference.  Four hash pins extend this to a
 generated N=200 solve, to a few thousand random profiles, to what the
 kernel's scan returns for each vehicle of those kinds of profiles under
 both objectives and to the equilibrium sets of a few hundred random
@@ -67,6 +68,11 @@ def test_sweep_matches_golden(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--n", "10", "--reps", "20", "--seed", "42", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "sweep_n10_r20_seed42.csv").read_bytes()
+
+
+def test_demo_fig4_matches_golden(capsys):
+    assert main(["demo-fig4"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "demo-fig4_seed60.txt").read_bytes()
 
 
 def test_sweep_trends_match_pins():

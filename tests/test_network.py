@@ -25,6 +25,12 @@ def test_fig3_preset_shape(fig3):
     assert fig3.root == "v1"
 
 
+def test_network_equality(fig3):
+    assert fig3 == paper_fig3()
+    assert fig3.__eq__(PAPER_FIG3_EDGES) is NotImplemented
+    assert fig3 != PAPER_FIG3_EDGES
+
+
 def test_single_edge_network_is_valid():
     net = RoadNetwork([("v1", "v2", 100.0)], "v1")
     assert net.nodes == {"v1", "v2"}

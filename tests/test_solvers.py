@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import platoonmatch as pm
-from platoonmatch import game
+from platoonmatch import game, solvers
 from platoonmatch import (
     ConvergenceError,
     Instance,
@@ -369,7 +369,7 @@ def test_profile_entries_equal_to_actions_act_as_the_floats(merge_trio, kind):
         assert _profile_answers(merge_trio, tuple(kind(t) for t in s)) == expected
 
 
-@pytest.mark.parametrize("bad", [50.0, float("nan"), None, [400.0]])
+@pytest.mark.parametrize("bad", [50.0, float("nan"), None, [400.0], False])
 def test_profile_entries_not_actions_rejected_everywhere(merge_trio, bad):
     # vehicle 2's actions are 0, 400 and 800: 50.0 lies between two of them
     s = (0.0, bad, 800.0)
@@ -430,6 +430,59 @@ def test_brd_output_is_nash_on_random_instances():
     for _ in range(200):
         inst = random_instance(rng, max_vehicles=8)
         assert is_nash(inst, brd_solve(inst).final)
+
+
+def _penalty_instance(penalties):
+    """Vehicles on one 1000 m edge with no saving (``k_p = 0``): vehicle ``idx``
+    prefers time ``idx``, may depart at any vehicle's, and pays
+    ``penalties[idx][t]`` at time ``t``."""
+    network = pm.RoadNetwork([("o", "a", 1000.0)], "o")
+    n = len(penalties)
+    vehicles = [Vehicle(i + 1, "a", float(i), (0.0, n - 1.0)) for i in range(n)]
+    params = ModelParams(k_p=0.0, penalty=lambda chosen, pref: penalties[int(pref)][int(chosen)])
+    return Instance(network, vehicles, params)
+
+
+def test_sweeps_stop_only_where_is_nash_and_the_oracle_see_an_equilibrium():
+    # Vehicle 1 gains 1.0000000000000002e-12 by moving to time 1.0, yet its
+    # value at 0.0 is not below the other's minus GAIN_EPS: a stop test of that
+    # form keeps it, where is_nash and the oracle see the gain and move it.
+    inst = _penalty_instance([[2.200380016434048e-12, 1.2003800164340478e-12], [1.0, 0.0]])
+    final = brd_solve(inst).final
+    assert final == (1.0, 1.0)
+    assert is_nash(inst, final)
+    assert brute_force_nash(inst) == {(1.0, 1.0)}
+
+
+@st.composite
+def near_tie_penalties(draw):
+    """Penalty rows whose entries step by GAIN_EPS give or take a few ulps, so
+    that gains fall on either side of it by rounding alone."""
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(n):
+        base = draw(st.floats(0.0, 4e-12))
+        row = []
+        for _ in range(n):
+            value = base + draw(st.integers(-2, 2)) * solvers.GAIN_EPS
+            for _ in range(draw(st.integers(0, 3))):
+                value = math.nextafter(value, draw(st.sampled_from([-math.inf, math.inf])))
+            row.append(max(value, 0.0))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_tie_penalties())
+def test_one_stability_rule_on_near_ties(penalties):
+    inst = _penalty_instance(penalties)
+    equilibria = brute_force_nash(inst)
+    assert equilibria == {s for s in itertools.product(*all_actions(inst)) if is_nash(inst, s)}
+    ne = brd_solve(inst).final
+    assert is_nash(inst, ne)
+    assert ne in equilibria
+    state = game._PlatoonState(inst, coop_solve(inst).final)
+    assert all(solvers._decide(state, idx, "cooperative") is None for idx in range(len(penalties)))
 
 
 # ---------------------------------------------------------------------------
