@@ -370,7 +370,8 @@ def _parse_alphas(spec: str) -> list[float]:
         if step <= 0:
             raise ValueError(f"alpha step must be > 0, got {step}")
         out = []
-        while start + len(out) * step <= stop + 1e-9:
+        # a slack relative to the step, so a range means the same in any unit
+        while start + len(out) * step <= stop + 1e-9 * step:
             if len(out) == _MAX_ALPHAS:
                 raise ValueError(
                     f"--alphas: range {spec!r} expands to more than {_MAX_ALPHAS} values"

@@ -127,9 +127,10 @@ def _metrics(instance: Instance, report: solvers.SolveReport) -> ReplicationMetr
 
 def replication_seed(root_seed: int, alpha: float, rep: int) -> int:
     """Per-replication generator seed: root seed mixed with alpha's bit pattern
-    and the replication index, so any single replication can be reproduced."""
+    and the replication index, so any single replication can be reproduced.
+    ``alpha`` must pass ``nonnegative_float``, so ``-0.0`` seeds as ``0.0``."""
     import numpy as np
-    alpha_bits = struct.unpack("<Q", struct.pack("<d", float(alpha)))[0]
+    alpha_bits = struct.unpack("<Q", struct.pack("<d", nonnegative_float("alpha", alpha)))[0]
     ss = np.random.SeedSequence([root_seed, alpha_bits, rep])
     return int(ss.generate_state(1, np.uint64)[0])
 

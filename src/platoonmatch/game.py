@@ -123,6 +123,20 @@ class Instance:
     deviation penalties, the saving-rate tables used by every evaluation and
     each vehicle's saving when it departs alone, so evaluation functions stay
     cheap inside solver loops.
+
+    ``_tol`` is the instance's tolerance: a vehicle moves only when another
+    action beats its current value by more than it (``solvers._decide``).  It
+    is ``4 (depth + 2) u B``, with ``u = 2**-53`` the unit roundoff, ``depth``
+    the longest route's edge count and ``B = savings + worst`` the bound on
+    every value the solvers compare (below).  A value is a route walk of
+    ``depth`` rounded products summed from 0.0, then one subtraction for the
+    penalty and one for the cooperative delta: at most ``n = depth + 2``
+    roundings of numbers bounded by ``B``, so its error is at most
+    ``gamma_n B`` with ``gamma_n = n u / (1 - n u) <= 2 n u`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 4.2).  Two
+    values are compared, so a gain within ``2 gamma_n B <= _tol`` may be
+    rounding alone.  It scales with the money unit, so a change of unit by a
+    power of two changes no decision.
     """
 
     def __init__(
@@ -203,6 +217,8 @@ class Instance:
             if pen is None:
                 raise InputError("k_t", f"k_t {k_t!r} overflows the penalty sums: {why}")
             raise ValueError(f"the custom deviation penalty overflows the penalty sums: {why}")
+        depth = max(map(len, routes))
+        self._tol = 4 * (depth + 2) * 2.0**-53 * (savings + worst)
 
     @property
     def n_vehicles(self) -> int:

@@ -22,12 +22,7 @@ from functools import cached_property
 
 from . import game
 from .game import Instance, Profile
-from .network import is_count, is_real
-
-#: Gains at or below this threshold count as floating-point noise: a vehicle
-#: keeps its current action unless some alternative's value exceeds its
-#: current value plus this (``_decide``).
-GAIN_EPS = 1e-12
+from .network import is_count
 
 _OBJECTIVES = ("self", "cooperative")
 
@@ -59,13 +54,12 @@ class SolveReport:
         return [metric(self.instance, s) for s in self.history]
 
 
-def _decide(
-    state: game._PlatoonState, idx: int, objective: str, tol: float = GAIN_EPS
-) -> int | None:
+def _decide(state: game._PlatoonState, idx: int, objective: str, tol: float) -> int | None:
     """``None`` to keep the current action unless another beats it by more than
     ``tol``, that is ``vbest > vcur + tol``; otherwise the smallest action index
-    attaining the maximum.  The one test of a gain against the tolerance: the
-    sweeps stop, and ``is_nash`` accepts, exactly where it keeps every vehicle;
+    attaining the maximum.  The one test of a gain against the tolerance, which
+    every caller takes from the instance, ``Instance._tol``: the sweeps stop,
+    and ``is_nash`` accepts, exactly where it keeps every vehicle;
     ``brute_force_nash`` makes the same comparison on arrays."""
     vcur, vbest, kbest = state.scan(idx, objective)
     return kbest if vbest > vcur + tol else None
@@ -86,7 +80,7 @@ def best_response(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     state = game._PlatoonState(instance, profile)
     idx = game._index_of(instance, vehicle_id)
-    k = _decide(state, idx, objective)
+    k = _decide(state, idx, objective, instance._tol)
     return instance._all_times[instance._first[idx] + (state.ks[idx] if k is None else k)]
 
 
@@ -94,13 +88,14 @@ def _sweep_solve(instance: Instance, objective: str, start: Profile | None = Non
     n = instance.n_vehicles
     max_sweeps = 10 * n * len(instance._all_times)
     state = game._PlatoonState(instance, instance._pref if start is None else start)
+    tol = instance._tol
     history = [tuple(state.times)]
     rounds = 0
     last = n - 1  # the previous sweep's last mover; n - 1 runs the first sweep in full
     while True:
         mover = -1
         for idx in range(n):
-            k = _decide(state, idx, objective)
+            k = _decide(state, idx, objective, tol)
             if k is not None:
                 state.move(idx, k)
                 mover = idx
@@ -145,18 +140,18 @@ def coop_solve(instance: Instance, start: Profile | None = None) -> SolveReport:
     return _sweep_solve(instance, "cooperative", start)
 
 
-def is_nash(instance: Instance, profile: Profile, tol: float = GAIN_EPS) -> bool:
-    """True iff no vehicle can gain more than ``tol`` (finite) by deviating alone.
+def is_nash(instance: Instance, profile: Profile) -> bool:
+    """True iff no vehicle can gain more than the instance's tolerance by
+    deviating alone.
 
-    That is, ``_decide(..., "self", tol)``, the sweeps' stop test, keeps every
-    vehicle: only the best of its other actions is held against its current
-    value plus ``tol``, so a vehicle with one action is stable under any
-    ``tol``, negative ones included.
+    That is, ``_decide(..., "self", instance._tol)``, the sweeps' stop test,
+    keeps every vehicle: only the best of its other actions is held against
+    its current value plus the tolerance, so a vehicle with one action is
+    always stable.
     """
-    if not is_real(tol):
-        raise ValueError(f"tol must be a finite number, got {tol!r}")
     state = game._PlatoonState(instance, profile)
-    return all(_decide(state, idx, "self", tol) is None for idx in range(instance.n_vehicles))
+    n = instance.n_vehicles
+    return all(_decide(state, idx, "self", instance._tol) is None for idx in range(n))
 
 
 def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[float, ...]]:
@@ -180,11 +175,11 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     ``f[n(e)] * d(e)``, minus the penalty.  A profile's index into the table
     at each own action adds the stride of each mate whose action index is
     the one it has at that time, found by slot arithmetic; one gather
-    scores the vehicle, and it is
-    stable where no action beats that by more than GAIN_EPS: ``best <= u +
-    GAIN_EPS`` is ``_decide``'s rule, ``vbest > vcur + tol`` negated, over
-    every profile at once (``best`` may be the current action's own value,
-    which never beats it).
+    scores the vehicle, and it is stable where no action beats that by more
+    than the instance's tolerance: ``best <= u + Instance._tol`` is
+    ``_decide``'s rule, ``vbest > vcur + tol`` negated, over every profile at
+    once (``best`` may be the current action's own value, which never beats
+    it).
 
     The vehicles are scored one after another, and few profiles stay stable
     for all of the first ones.  Once scoring a list of the profiles left
@@ -291,7 +286,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
             u = table.ravel()[code]
             del table, code  # freed before the next arrays, so memory stays per profile
             best = u.max(0)
-            u += GAIN_EPS
+            u += instance._tol
             ok = best <= u
             del u, best
             if stable is not None:

@@ -193,8 +193,7 @@ def lone_saving_params():
 # candidate action is scored by re-evaluating the whole profile, and the
 # objective trace sums in the library's reported order (platoons by first
 # appearance, edges by first appearance within a platoon, then penalties).
-
-GAIN_EPS = 1e-12
+# A gain counts when it exceeds the instance's tolerance, ``Instance._tol``.
 
 
 def _groups(profile):
@@ -276,11 +275,11 @@ def ref_candidate_values(instance, profile, idx, objective):
     return vals
 
 
-def ref_pick(actions, values, current):
-    """Keep the current action unless beaten by more than GAIN_EPS, else the
+def ref_pick(actions, values, current, tol):
+    """Keep the current action unless beaten by more than ``tol``, else the
     smallest action attaining the maximum; the comparison is ``ref_is_nash``'s."""
     vmax = max(values)
-    if vmax > values[actions.index(current)] + GAIN_EPS:
+    if vmax > values[actions.index(current)] + tol:
         return next(a for a, v in zip(actions, values) if v == vmax)
     return current
 
@@ -299,6 +298,7 @@ def ref_sweep_solve(instance, objective, start=None):
                 feasible_actions(instance, idx + 1),
                 ref_candidate_values(instance, s, idx, objective),
                 s[idx],
+                instance._tol,
             )
             if a != s[idx]:
                 s[idx] = a
@@ -310,7 +310,9 @@ def ref_sweep_solve(instance, objective, start=None):
             return tuple(s), rounds, history, trace
 
 
-def ref_is_nash(instance, profile, tol=GAIN_EPS):
+def ref_is_nash(instance, profile, tol=None):
+    """No vehicle gains more than ``tol``, by default the instance's tolerance."""
+    tol = instance._tol if tol is None else tol
     groups = _groups(profile)
     pen = functools.partial(ref_penalty, instance.params)
     for idx in range(instance.n_vehicles):

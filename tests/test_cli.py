@@ -735,6 +735,18 @@ def test_alpha_range_keeps_its_values_up_to_the_limit():
     assert _parse_alphas("0:1500:150") == list(default_alpha_grid())
 
 
+@pytest.mark.parametrize("stop, step, count", [
+    (1e-10, 1e-10, 2),
+    (0.3 * 2.0**-40, 0.1 * 2.0**-40, 4),
+    (0.3, 0.1, 4),
+    (0.3 * 2.0**40, 0.1 * 2.0**40, 4),
+], ids=["1e-10", "0.3*2**-40", "0.3", "0.3*2**40"])
+def test_alpha_range_means_the_same_in_any_unit(stop, step, count):
+    # the slack past stop scales with the step, so 3 * 0.1 > 0.3 by an ulp stays in
+    # at any scale, and 0:1e-10:1e-10 does not run on to 1.1e-9
+    assert _parse_alphas(f"0:{stop!r}:{step!r}") == [k * step for k in range(count)]
+
+
 @pytest.mark.parametrize(
     "alphas, pattern",
     [("", r"alphas must hold at least one value"), ("0,300,inf", r"alpha must be finite")],

@@ -260,3 +260,38 @@ def test_replication_seed_distinguishes_inputs():
     }
     assert len(seen) == 12
     assert replication_seed(5, 300.0, 2) == replication_seed(5, 300.0, 2)
+
+
+#: Replications of the default sweep (alpha, rep) whose equilibrium, coop
+#: answer or round counts changed under an absolute gain threshold of 1e-12
+#: when k_p and k_t were scaled together: all 7 at 1e-10, the first 7 of 544
+#: at 1e-12.
+UNIT_SENSITIVE = {
+    1e-10: [(300.0, 94), (450.0, 30), (450.0, 94), (600.0, 2), (600.0, 10), (750.0, 79),
+            (1500.0, 16)],
+    1e-12: [(150.0, 6), (150.0, 8), (150.0, 12), (150.0, 19), (150.0, 28), (150.0, 32),
+            (150.0, 36)],
+}
+
+
+@pytest.mark.parametrize("scale", sorted(UNIT_SENSITIVE))
+def test_sweep_replications_do_not_depend_on_the_money_unit(fig3, scale):
+    def solved(inst):
+        ne = pm.brd_solve(inst)
+        coop = pm.coop_solve(inst, start=ne.final)
+        return ne.final, ne.rounds, coop.final, coop.rounds
+
+    config = ScenarioConfig(network=fig3, n_vehicles=10, alpha=0.0)
+    params = pm.ModelParams(k_p=config.params.k_p * scale, k_t=config.params.k_t * scale)
+    for alpha, rep in UNIT_SENSITIVE[scale]:
+        seed = replication_seed(config.seed, alpha, rep)
+        inst = generate_scenario(dataclasses.replace(config, alpha=alpha, seed=seed))
+        assert solved(Instance(fig3, inst.vehicles, params)) == solved(inst), (alpha, rep)
+
+
+def test_replication_seed_takes_a_checked_alpha():
+    # alpha's sign bit is no input: -0.0 seeds as 0.0, and a negative alpha is refused
+    assert replication_seed(0, -0.0, 0) == replication_seed(0, 0.0, 0)
+    with pytest.raises(InputError, match="alpha") as err:
+        replication_seed(0, -1.0, 0)
+    assert err.value.subject == "alpha"

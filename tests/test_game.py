@@ -122,6 +122,14 @@ def test_instance_rejects_unknown_destination(fig3):
         assert exc.value.subject == 1
 
 
+def test_tolerance_of_two_vehicles_by_hand():
+    # Both routes have 3 edges on 792 km of road; max f = k_p / 2 = 2.5e-5 and
+    # each vehicle's largest penalty is k_t * 100 s = 1.5, so the bound on every
+    # compared value is 2 * 2.5e-5 * 792000 + 1.5 + 1.5 = 42.6.
+    inst = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "two-vehicles.scn")
+    assert inst._tol == 4 * (3 + 2) * 2.0**-53 * 42.6 == 9.459100169806334e-14
+
+
 def test_instance_repr_and_foreign_equality(fig3, pair):
     assert repr(pair) == "Instance(2 vehicles on RoadNetwork(13 nodes, 12 edges, root='v1'))"
     assert pair.__eq__(fig3) is NotImplemented

@@ -34,7 +34,6 @@ from platoonmatch import (
     default_alpha_grid,
     evaluate,
     generate_scenario,
-    is_nash,
     nonplatooning_fraction,
     paper_fig3,
     potential,
@@ -45,6 +44,7 @@ from platoonmatch import (
 )
 from platoonmatch.cli import main
 from platoonmatch.game import _PlatoonState, feasible_actions
+from platoonmatch.solvers import _decide
 from _reference import (
     all_actions,
     custom_params,
@@ -124,14 +124,22 @@ def test_solve_n200_matches_pinned_hash(tmp_path, mode):
 NASH_TOLS = (1e-12, 0.0, -1e-9, -1.0, 1.0, 1e9)
 
 
+def stable_at(inst, profile, tol):
+    """``is_nash`` with ``tol`` in place of the instance's tolerance: ``_decide``
+    keeps every vehicle."""
+    state = _PlatoonState(inst, profile)
+    return all(_decide(state, idx, "self", tol) is None for idx in range(inst.n_vehicles))
+
+
 def test_reported_numbers_match_pinned_hash():
     """Every reported number and equilibrium verdict, bit for bit.
 
     150 random instances under each of the default, the custom and the
     lone-saving model, each at its preferred profile, its best-response
     equilibrium and three random profiles.  Floats enter the hash as
-    ``float.hex``; ``is_nash`` runs at negative tolerances too, where a
-    vehicle with one action must still count as stable.
+    ``float.hex``; the equilibrium verdict is taken at fixed tolerances,
+    negative ones too, where a vehicle with one action must still count as
+    stable.
     """
     rng = np.random.default_rng(2024)
     h = hashlib.sha256()
@@ -152,7 +160,7 @@ def test_reported_numbers_match_pinned_hash():
                 put(out.partition, *out.utilities, out.potential, out.total_fuel_saving,
                     out.nonplatooning_fraction)
                 put(*(vehicle_utility(inst, s, v.id) for v in inst.vehicles))
-                put(*(is_nash(inst, s, tol) for tol in NASH_TOLS))
+                put(*(stable_at(inst, s, tol) for tol in NASH_TOLS))
     assert h.hexdigest() == "7b06fedee3b9052172411464e884b27cbb1c0fe3e642c5b4da085759921de9ad"
 
 

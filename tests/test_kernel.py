@@ -5,7 +5,8 @@ match the code that re-evaluated the whole profile for each candidate, and
 the equilibrium check and enumeration must return the same answers.  A
 second property runs the kernel at parameter scales far from the defaults,
 where its per-edge delta arithmetic rounds differently from a full
-recompute.
+recompute.  A third scales every amount of money by a power of two, which
+must change no decision.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from _reference import (
     ref_pick,
     ref_sweep_solve,
 )
-from test_golden import NASH_TOLS
+from test_golden import NASH_TOLS, stable_at
 
 
 @st.composite
@@ -84,13 +85,14 @@ def test_best_response_and_is_nash_match_full_recompute(data):
     for s in profiles:
         assert is_nash(inst, s) == ref_is_nash(inst, s)
         for tol in NASH_TOLS:
-            assert is_nash(inst, s, tol) == ref_is_nash(inst, s, tol)
+            assert stable_at(inst, s, tol) == ref_is_nash(inst, s, tol)
         for idx in range(inst.n_vehicles):
             for objective in ("self", "cooperative"):
                 want = ref_pick(
                     feasible_actions(inst, idx + 1),
                     ref_candidate_values(inst, s, idx, objective),
                     s[idx],
+                    inst._tol,
                 )
                 assert best_response(inst, s, idx + 1, objective) == want
 
@@ -135,3 +137,29 @@ def test_properties_hold_across_parameter_scales(seed, kp_scale, kt_scale, lengt
     assert is_nash(inst, ne.final)
     coop = coop_solve(inst, start=ne.final)
     assert coop.objective_trace[-1] >= coop.objective_trace[0]
+
+
+def _scaled(params, scale):
+    """``params`` with every saving rate and penalty multiplied by ``scale``."""
+    return ModelParams(
+        k_p=params.k_p * scale,
+        k_t=params.k_t * scale,
+        saving=None if params.saving is None else lambda n: params.saving(n) * scale,
+        penalty=None if params.penalty is None else lambda c, p: params.penalty(c, p) * scale,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(-40, 40))
+def test_a_power_of_two_money_unit_changes_no_decision(data, s):
+    # Scaling every amount by 2**s is exact, and so is the tolerance it scales.
+    inst, rng = data
+    scaled = Instance(inst.network, inst.vehicles, _scaled(inst.params, 2.0**s))
+    assert scaled._tol == inst._tol * 2.0**s
+    for want, got in ((brd_solve(inst), brd_solve(scaled)),
+                      (coop_solve(inst), coop_solve(scaled))):
+        assert (got.final, got.rounds, got.history) == (want.final, want.rounds, want.history)
+    for p in [random_profile(inst, rng) for _ in range(4)]:
+        assert is_nash(scaled, p) == is_nash(inst, p)
+    if np.prod([len(a) for a in all_actions(inst)]) <= 3000:
+        assert brute_force_nash(scaled) == brute_force_nash(inst)

@@ -38,6 +38,7 @@ from _reference import (
     ref_sweep_solve,
     ref_utility,
 )
+from test_golden import stable_at
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +137,8 @@ def test_is_nash_holds_a_gain_equal_to_tol_stable(fig3):
     assert vehicle_utility(inst, s, 1) == 0.0
     gain = vehicle_utility(inst, (-50.0, -50.0, 50.0), 1)
     assert gain > 0.0
-    assert is_nash(inst, s, tol=gain)
-    assert not is_nash(inst, s, tol=math.nextafter(gain, 0.0))
+    assert stable_at(inst, s, gain)
+    assert not stable_at(inst, s, math.nextafter(gain, 0.0))
 
 
 def test_best_response_cooperative_objective(merge_trio):
@@ -406,23 +407,11 @@ def test_is_nash_detects_profitable_deviation(fig3):
     assert is_nash(inst, (0.0, 0.0))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), "x", None])
-def test_is_nash_rejects_nonfinite_tol(fig3, tol):
-    # The README's two-truck instance; (0.0, 100.0) is not an equilibrium.
-    inst = Instance(
-        fig3,
-        [
-            Vehicle(1, "v4", 0.0, (-500.0, 500.0)),
-            Vehicle(2, "v5", 100.0, (-400.0, 600.0)),
-        ],
-    )
-    assert not is_nash(inst, (0.0, 100.0))
-    assert not is_nash(inst, (0.0, 100.0), tol=-1.0)
-    # a vehicle with one action has no deviation to weigh, whatever the tol
+def test_a_vehicle_with_one_action_is_stable_at_any_tol(fig3):
+    # it has no deviation to weigh, even against a negative tolerance
     lone = Instance(fig3, [Vehicle(1, "v9", 3.0, (0.0, 10.0))])
-    assert is_nash(lone, (3.0,), tol=-1.0)
-    with pytest.raises(ValueError, match="tol"):
-        is_nash(inst, (0.0, 100.0), tol=tol)
+    assert is_nash(lone, (3.0,))
+    assert stable_at(lone, (3.0,), -1.0)
 
 
 def test_brd_output_is_nash_on_random_instances():
@@ -444,10 +433,12 @@ def _penalty_instance(penalties):
 
 
 def test_sweeps_stop_only_where_is_nash_and_the_oracle_see_an_equilibrium():
-    # Vehicle 1 gains 1.0000000000000002e-12 by moving to time 1.0, yet its
-    # value at 0.0 is not below the other's minus GAIN_EPS: a stop test of that
-    # form keeps it, where is_nash and the oracle see the gain and move it.
-    inst = _penalty_instance([[2.200380016434048e-12, 1.2003800164340478e-12], [1.0, 0.0]])
+    # Vehicle 1 gains 1.3322676295501938e-15 by moving to time 1.0, two ulps
+    # above the instance's tolerance, yet its value at 0.0 is not below the
+    # other's minus the tolerance: a stop test of that form keeps it, where
+    # is_nash and the oracle see the gain and move it.
+    inst = _penalty_instance([[4.213188938095903e-15, 2.8809213085457093e-15], [1.0, 0.0]])
+    assert inst._tol == 1.3322676295501934e-15
     final = brd_solve(inst).final
     assert final == (1.0, 1.0)
     assert is_nash(inst, final)
@@ -456,19 +447,31 @@ def test_sweeps_stop_only_where_is_nash_and_the_oracle_see_an_equilibrium():
 
 @st.composite
 def near_tie_penalties(draw):
-    """Penalty rows whose entries step by GAIN_EPS give or take a few ulps, so
-    that gains fall on either side of it by rounding alone."""
+    """Penalty rows whose entries step down from the row's largest by the
+    instance's tolerance give or take a few ulps, so that gains fall on either
+    side of it by rounding alone.  The tolerance grows with the largest
+    entries, so they are drawn first and fix it.  Each lies a few ulps above a
+    power of two, so the steps cross into the binade below, where the two
+    forms of the stop test round differently."""
     n = draw(st.integers(2, 4))
-    rows = []
+    tops = []
     for _ in range(n):
-        base = draw(st.floats(0.0, 4e-12))
+        top = math.ldexp(1.0, draw(st.integers(-60, 0)))
+        for _ in range(draw(st.integers(0, 8))):
+            top = math.nextafter(top, math.inf)
+        tops.append(top)
+    tol = _penalty_instance([[top] * n for top in tops])._tol
+    rows = []
+    for top in tops:
         row = []
         for _ in range(n):
-            value = base + draw(st.integers(-2, 2)) * solvers.GAIN_EPS
+            value = top - draw(st.integers(0, 4)) * tol
             for _ in range(draw(st.integers(0, 3))):
                 value = math.nextafter(value, draw(st.sampled_from([-math.inf, math.inf])))
-            row.append(max(value, 0.0))
+            row.append(min(max(value, 0.0), top))
+        row[draw(st.integers(0, n - 1))] = top
         rows.append(row)
+    assert _penalty_instance(rows)._tol == tol
     return rows
 
 
@@ -482,7 +485,8 @@ def test_one_stability_rule_on_near_ties(penalties):
     assert is_nash(inst, ne)
     assert ne in equilibria
     state = game._PlatoonState(inst, coop_solve(inst).final)
-    assert all(solvers._decide(state, idx, "cooperative") is None for idx in range(len(penalties)))
+    for idx in range(inst.n_vehicles):
+        assert solvers._decide(state, idx, "cooperative", inst._tol) is None
 
 
 # ---------------------------------------------------------------------------
@@ -704,14 +708,16 @@ def test_brute_force_all_ties_keeps_every_profile(fig3):
 
 @pytest.mark.parametrize("penalty, equilibria", [
     (5.099999999998998, {(0.0, 0.0)}),
-    (5.0999999999995, {(0.0, 0.0), (100.0, 0.0)}),
+    (5.099999999999866, {(0.0, 0.0)}),
+    (5.099999999999937, {(0.0, 0.0), (100.0, 0.0)}),
 ])
 def test_brute_force_breaks_near_ties_as_is_nash(penalty, equilibria):
     # Vehicle 1 leaves its preferred time 100 to platoon with vehicle 2 over
     # two of its four edges.  Its route-order saving sums (17.900000000000002
-    # and 12.799999999999999) differ from the reverse order's in the last bit,
-    # and the penalty puts joining's gain a few ulps above GAIN_EPS, then at
-    # half of it: only the kernel's summation order and tolerance give these sets.
+    # and 12.799999999999999) differ from the reverse order's in the last bit.
+    # The penalty puts joining's gain well above the instance's tolerance
+    # (about 1.33e-13), then a few ulps above it, then at half of it: only the
+    # kernel's summation order and tolerance give the last two sets.
     nodes = [f"p{i}" for i in range(5)]
     lengths = [1700.0, 1700.0, 1700.0, 1300.0]
     network = pm.RoadNetwork(list(zip(nodes, nodes[1:], lengths)), "p0")
