@@ -8,83 +8,11 @@ verifies them against a brute-force oracle, and runs Monte-Carlo sweeps
 over the spread of preferred departure times.
 """
 
-from .network import (
-    PAPER_FIG3_EDGES,
-    PRESETS,
-    RoadNetwork,
-    paper_fig3,
-)
-from .game import (
-    Instance,
-    ModelParams,
-    Outcome,
-    Vehicle,
-    cooperative_utility,
-    evaluate,
-    feasible_actions,
-    nonplatooning_fraction,
-    potential,
-    total_fuel_saving,
-    vehicle_utility,
-)
-from .solvers import (
-    ConvergenceError,
-    SolveReport,
-    best_response,
-    brd_solve,
-    brute_force_nash,
-    coop_solve,
-    is_nash,
-)
-from .experiments import (
-    ReplicationMetrics,
-    ScenarioConfig,
-    SweepResult,
-    SweepRow,
-    SWEEP_CSV_COLUMNS,
-    default_alpha_grid,
-    generate_scenario,
-    replication_seed,
-    run_replication,
-    sweep_alpha,
-    trend_summary,
-)
+from .network import *
+from .game import *
+from .solvers import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PAPER_FIG3_EDGES",
-    "PRESETS",
-    "RoadNetwork",
-    "paper_fig3",
-    "Instance",
-    "ModelParams",
-    "Outcome",
-    "Vehicle",
-    "cooperative_utility",
-    "evaluate",
-    "feasible_actions",
-    "nonplatooning_fraction",
-    "potential",
-    "total_fuel_saving",
-    "vehicle_utility",
-    "ConvergenceError",
-    "SolveReport",
-    "best_response",
-    "brd_solve",
-    "brute_force_nash",
-    "coop_solve",
-    "is_nash",
-    "ReplicationMetrics",
-    "ScenarioConfig",
-    "SweepResult",
-    "SweepRow",
-    "SWEEP_CSV_COLUMNS",
-    "default_alpha_grid",
-    "generate_scenario",
-    "replication_seed",
-    "run_replication",
-    "sweep_alpha",
-    "trend_summary",
-    "__version__",
-]
+__all__ = network.__all__ + game.__all__ + solvers.__all__ + experiments.__all__ + ["__version__"]

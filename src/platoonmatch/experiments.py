@@ -19,15 +19,28 @@ as the CLI does at start-up, does not load it.
 
 from __future__ import annotations
 
+__all__ = [
+    "ReplicationMetrics", "ScenarioConfig", "SweepResult", "SweepRow", "SWEEP_CSV_COLUMNS",
+    "default_alpha_grid", "generate_scenario", "replication_seed", "run_replication",
+    "sweep_alpha", "trend_summary",
+]
+
 import csv
 import io
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
 from .network import InputError, RoadNetwork, is_count, nonnegative_float
+
+
+def _check_seed(name: str, value) -> None:
+    """Raise ``InputError(name)`` unless ``value`` is an integer, not a bool, in ``[0, 2**64)``."""
+    if not (is_count(value) and 0 <= value < 1 << 64):
+        raise InputError(name, f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +76,7 @@ class ScenarioConfig:
         if not math.isfinite((alpha + h) + h):
             raise InputError("window_halfwidth", f"window_halfwidth {h!r} is too large for "
                              f"alpha {alpha!r}: alpha + 2 * window_halfwidth is not finite")
-        if not (is_count(self.seed) and 0 <= self.seed < 1 << 64):
-            raise InputError("seed", f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        _check_seed("seed", self.seed)
         if isinstance(self.destination_pool, str):
             raise InputError(
                 "destination_pool", "a destination pool is a sequence of node ids, "
@@ -128,7 +140,12 @@ def _metrics(instance: Instance, report: solvers.SolveReport) -> ReplicationMetr
 def replication_seed(root_seed: int, alpha: float, rep: int) -> int:
     """Per-replication generator seed: root seed mixed with alpha's bit pattern
     and the replication index, so any single replication can be reproduced.
-    ``alpha`` must pass ``nonnegative_float``, so ``-0.0`` seeds as ``0.0``."""
+    ``root_seed`` follows ``ScenarioConfig``'s seed rule, ``rep`` is an integer
+    >= 0 and ``alpha`` must pass ``nonnegative_float``, so ``-0.0`` seeds as
+    ``0.0``; anything else raises ``InputError`` naming the argument."""
+    _check_seed("root_seed", root_seed)
+    if not (is_count(rep) and rep >= 0):
+        raise InputError("rep", f"rep must be an integer >= 0, got {rep!r}")
     import numpy as np
     alpha_bits = struct.unpack("<Q", struct.pack("<d", nonnegative_float("alpha", alpha)))[0]
     ss = np.random.SeedSequence([root_seed, alpha_bits, rep])
@@ -194,6 +211,8 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     """
     if not (is_count(replications) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
+    if isinstance(alphas, (str, bytes)) or not isinstance(alphas, Iterable):
+        raise InputError("alphas", f"alphas must be an iterable of numbers, got {alphas!r}")
     # every alpha, and its config, is checked before the first replication runs
     alphas = sorted({nonnegative_float("alpha", a) for a in alphas})
     if not alphas:

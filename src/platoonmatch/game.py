@@ -23,6 +23,12 @@ vehicle's utility change.
 
 from __future__ import annotations
 
+__all__ = [
+    "Instance", "ModelParams", "Outcome", "Vehicle", "cooperative_utility", "evaluate",
+    "feasible_actions", "nonplatooning_fraction", "potential", "total_fuel_saving",
+    "vehicle_utility",
+]
+
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass

@@ -10,6 +10,8 @@ instances can share one.
 
 from __future__ import annotations
 
+__all__ = ["PAPER_FIG3_EDGES", "PRESETS", "RoadNetwork", "paper_fig3"]
+
 import math
 from numbers import Integral, Real
 from typing import Iterable

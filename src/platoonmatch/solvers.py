@@ -15,6 +15,11 @@ The solvers are plain Python; numpy is imported only inside the oracle
 
 from __future__ import annotations
 
+__all__ = [
+    "ConvergenceError", "SolveReport", "best_response", "brd_solve", "brute_force_nash",
+    "coop_solve", "is_nash",
+]
+
 import math
 from collections import Counter
 from dataclasses import dataclass, field

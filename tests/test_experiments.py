@@ -90,6 +90,21 @@ def test_sweep_rejects_bad_alpha(base_config, alpha):
     assert exc.value.subject == "alpha"
 
 
+@pytest.mark.parametrize("alphas", ["300", b"300", 300.0, None])
+def test_sweep_rejects_alphas_that_are_not_an_iterable(base_config, alphas):
+    message = f"alphas must be an iterable of numbers, got {alphas!r}"
+    with pytest.raises(InputError, match=re.escape(message)) as exc:
+        sweep_alpha(base_config, alphas, 1)
+    assert exc.value.subject == "alphas"
+
+
+def test_sweep_takes_any_iterable_of_alphas(base_config):
+    csv = sweep_alpha(base_config, [300.0, 0.0], 1).to_csv()
+    for alphas in ((0.0, 300.0), range(0, 301, 300), (a for a in (300.0, 0.0)),
+                   np.array([0.0, 300.0])):
+        assert sweep_alpha(base_config, alphas, 1).to_csv() == csv
+
+
 def test_generate_is_deterministic(base_config):
     a = generate_scenario(base_config)
     b = generate_scenario(base_config)
@@ -295,3 +310,22 @@ def test_replication_seed_takes_a_checked_alpha():
     with pytest.raises(InputError, match="alpha") as err:
         replication_seed(0, -1.0, 0)
     assert err.value.subject == "alpha"
+
+
+@pytest.mark.parametrize(
+    "args, subject",
+    [((-1, 0.0, 0), "root_seed"), ((0.5, 0.0, 0), "root_seed"), ((True, 0.0, 0), "root_seed"),
+     ((2**64, 0.0, 0), "root_seed"), ((0, 0.0, -1), "rep"), ((0, 0.0, True), "rep")],
+)
+def test_replication_seed_checks_its_seed_and_index(args, subject):
+    with pytest.raises(InputError, match=rf"{subject} must be an integer") as err:
+        replication_seed(*args)
+    assert err.value.subject == subject
+
+
+def test_replication_seed_keeps_every_valid_seed():
+    # values of the unchecked function, which passed its arguments straight to numpy
+    assert replication_seed(0, 0.0, 0) == 15793235383387715774
+    assert replication_seed(2**64 - 1, 1500.0, 99) == 16994569740568494167
+    assert replication_seed(12345, 300.0, 10**20) == 6466770560373576743
+    assert replication_seed(np.uint64(7), 0.0, np.int64(2)) == replication_seed(7, 0.0, 2)

@@ -1,12 +1,13 @@
-"""Count the code lines of ``src/``, per module and in total.
+"""Count the code lines and the physical lines of ``src/``, per module and in total.
 
     python3 tools/src_lines.py [root]
 
-A code line is a line that holds some token other than a comment: blank
-lines, comment lines and docstrings (the string that opens a module, class
-or function body) do not count, while every line of any other string
-spanning several lines does.  ``root`` defaults to the ``src/`` directory
-next to this script's parent.
+The first column counts code lines: a code line is a line that holds some
+token other than a comment, so blank lines, comment lines and docstrings
+(the string that opens a module, class or function body) do not count,
+while every line of any other string spanning several lines does.  The
+second column counts physical lines, as ``wc -l`` does.  ``root`` defaults
+to the ``src/`` directory next to this script's parent.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    total = 0
+    code_total = physical_total = 0
     for path in sorted(root.rglob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+        code, physical = code_lines(path), path.read_text().count("\n")
+        code_total += code
+        physical_total += physical
+        print(f"{code:6d}  {physical:6d}  {path.relative_to(root)}")
+    print(f"{code_total:6d}  {physical_total:6d}  total")
     return 0
 
 
