@@ -29,8 +29,8 @@ import csv
 import io
 import math
 import struct
-from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import game, solvers
 from .game import Instance, ModelParams, Vehicle
@@ -109,8 +109,7 @@ def generate_scenario(config: ScenarioConfig) -> Instance:
     return Instance(config.network, vehicles, config.params)
 
 
-@dataclass(frozen=True)
-class ReplicationMetrics:
+class ReplicationMetrics(NamedTuple):
     """Per-solver outcome of a single replication."""
 
     fuel_saving: float
@@ -125,7 +124,7 @@ def run_replication(instance: Instance) -> tuple[ReplicationMetrics, Replication
     coop = solvers.coop_solve(instance, start=ne.final)
     ne_metrics = _metrics(instance, ne)
     if coop.final == ne.final:  # the ascent found no move: same profile, same numbers
-        return ne_metrics, replace(ne_metrics, rounds=coop.rounds)
+        return ne_metrics, ne_metrics._replace(rounds=coop.rounds)
     return ne_metrics, _metrics(instance, coop)
 
 
@@ -152,8 +151,7 @@ def replication_seed(root_seed: int, alpha: float, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Aggregated metrics for one alpha value."""
 
     alpha: float
@@ -173,11 +171,12 @@ class SweepRow:
 
 #: Frozen column order of the sweep CSV: alpha, the replication count, then
 #: the metrics in SweepRow's field order.
-SWEEP_CSV_COLUMNS = ("alpha", "replications") + tuple(f.name for f in fields(SweepRow)[1:])
+SWEEP_CSV_COLUMNS = ("alpha", "replications") + SweepRow._fields[1:]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
+    """A sweep's rows, in ascending alpha, and the replications behind each row."""
+
     rows: tuple[SweepRow, ...]
     replications: int
 
@@ -186,10 +185,7 @@ class SweepResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SWEEP_CSV_COLUMNS)
         for row in self.rows:
-            writer.writerow(
-                [_fmt(row.alpha), str(self.replications)]
-                + [_fmt(getattr(row, col)) for col in SWEEP_CSV_COLUMNS[2:]]
-            )
+            writer.writerow([_fmt(row.alpha), str(self.replications), *map(_fmt, row[1:])])
         return buf.getvalue()
 
 
@@ -210,13 +206,19 @@ def sweep_alpha(config: ScenarioConfig, alphas, replications: int) -> SweepResul
     Deterministic for a given (config, alphas, replications).
     """
     if not (is_count(replications) and replications >= 1):
-        raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
-    if isinstance(alphas, (str, bytes)) or not isinstance(alphas, Iterable):
-        raise InputError("alphas", f"alphas must be an iterable of numbers, got {alphas!r}")
+        raise InputError("replications",
+                         f"replications must be an integer >= 1, got {replications!r}")
+    try:  # ``iter``, not an Iterable check, which a 0-d numpy array passes
+        if isinstance(alphas, (str, bytes)):  # iterables of characters, not of numbers
+            raise TypeError
+        values = iter(alphas)
+    except TypeError:
+        raise InputError("alphas",
+                         f"alphas must be an iterable of numbers, got {alphas!r}") from None
     # every alpha, and its config, is checked before the first replication runs
-    alphas = sorted({nonnegative_float("alpha", a) for a in alphas})
+    alphas = sorted({nonnegative_float("alpha", a) for a in values})
     if not alphas:
-        raise ValueError("alphas must hold at least one value")
+        raise InputError("alphas", "alphas must hold at least one value")
     configs = [replace(config, alpha=alpha) for alpha in alphas]
     rows = []
     for alpha, alpha_config in zip(alphas, configs):

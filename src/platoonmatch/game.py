@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .network import InputError, RoadNetwork, is_count, is_real, nonnegative_float
 
@@ -250,8 +250,7 @@ class Instance:
         return f"Instance({self.n_vehicles} vehicles on {self.network!r})"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Everything worth reporting about one strategy profile."""
 
     partition: tuple[tuple[float, tuple[int, ...]], ...]

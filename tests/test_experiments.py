@@ -78,8 +78,9 @@ def test_config_validation(fig3):
         network=fig3, n_vehicles=np.int64(3), alpha=np.float32(1.0), seed=np.uint64(7)
     )
     for bad in (2.5, True, 0):
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 1"):
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 1") as exc:
             sweep_alpha(config, [0.0], bad)
+        assert exc.value.subject == "replications"
     assert sweep_alpha(config, [0.0], np.int64(2)).to_csv().splitlines()[1].startswith("0.0,2,")
 
 
@@ -90,11 +91,17 @@ def test_sweep_rejects_bad_alpha(base_config, alpha):
     assert exc.value.subject == "alpha"
 
 
-@pytest.mark.parametrize("alphas", ["300", b"300", 300.0, None])
+@pytest.mark.parametrize("alphas", ["300", b"300", 300.0, None, np.array(300.0)])
 def test_sweep_rejects_alphas_that_are_not_an_iterable(base_config, alphas):
     message = f"alphas must be an iterable of numbers, got {alphas!r}"
     with pytest.raises(InputError, match=re.escape(message)) as exc:
         sweep_alpha(base_config, alphas, 1)
+    assert exc.value.subject == "alphas"
+
+
+def test_sweep_rejects_empty_alphas(base_config):
+    with pytest.raises(InputError, match="alphas must hold at least one value") as exc:
+        sweep_alpha(base_config, [], 1)
     assert exc.value.subject == "alphas"
 
 
