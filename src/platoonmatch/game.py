@@ -268,15 +268,24 @@ def _index_of(instance: Instance, vehicle_id: int) -> int:
 
 def _check_profile(instance: Instance, profile: Profile) -> list[int]:
     """Each entry's action index ``k``: it departs at slot ``_first[idx] + k`` of
-    ``_all_times`` and costs ``_pen[idx][k]``.  ValueError for a wrong length or
-    an entry equal to none of its vehicle's actions or not a real number (a
-    bool is none, as ``is_real`` says).  The one place a time is
-    mapped: a bisect in ``_all_times`` bounded to the vehicle's slots.  Every
-    entry point calls it once per profile, directly or by building a
-    ``_PlatoonState``, which keeps the indices for the scoring after it.
+    ``_all_times`` and costs ``_pen[idx][k]``.  ValueError for a profile that
+    is no sequence (a set or dict, whose order is not the vehicles', or
+    anything without a length), for a wrong length, or for an entry equal to
+    none of its vehicle's actions or not a real number (a bool is none, as
+    ``is_real`` says).  The one place a time is mapped: a bisect in
+    ``_all_times`` bounded to the vehicle's slots.  Every entry point calls
+    it once per profile, directly or by building a ``_PlatoonState``, which
+    keeps the indices for the scoring after it.
     """
-    if len(profile) != instance.n_vehicles:
-        raise ValueError(f"profile has {len(profile)} entries for {instance.n_vehicles} vehicles")
+    try:
+        size = len(profile)
+    except TypeError:  # None, a number, a generator, a 0-d array
+        size = -1
+    if size < 0 or isinstance(profile, (set, frozenset, dict)):
+        raise ValueError("profile must be a sequence of departure times in vehicle order, "
+                         f"not {type(profile).__name__}")
+    if size != instance.n_vehicles:
+        raise ValueError(f"profile has {size} entries for {instance.n_vehicles} vehicles")
     times = instance._all_times
     ks = []
     for idx, (t, lo, pens) in enumerate(zip(profile, instance._first, instance._pen)):

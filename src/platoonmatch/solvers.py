@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,7 +45,8 @@ class SolveReport:
     initial profile); ``objective_trace`` matches it entry by entry, holding
     the potential for the selfish solver and the common utility for the
     cooperative one, and is computed on first access.  ``rounds`` counts
-    executed sweeps, including the final one that confirmed the fixed point.
+    executed sweeps, ``len(history) - 1``, including the final one that
+    confirmed the fixed point.
     """
 
     final: tuple[float, ...]
@@ -95,7 +97,6 @@ def _sweep_solve(instance: Instance, objective: str, start: Profile | None = Non
     state = game._PlatoonState(instance, instance._pref if start is None else start)
     tol = instance._tol
     history = [tuple(state.times)]
-    rounds = 0
     last = n - 1  # the previous sweep's last mover; n - 1 runs the first sweep in full
     while True:
         mover = -1
@@ -108,17 +109,16 @@ def _sweep_solve(instance: Instance, objective: str, start: Profile | None = Non
                 # Nothing has moved since it did, so every later vehicle faces
                 # the state it stayed in last sweep: this sweep is the fixed point.
                 break
-        rounds += 1
         history.append(tuple(state.times))
         if mover < 0:
             break
         last = mover
-        if rounds >= max_sweeps:
+        if len(history) > max_sweeps:
             raise ConvergenceError(
-                f"no fixed point after {rounds} sweeps (cap {max_sweeps}); "
+                f"no fixed point after {max_sweeps} sweeps (cap {max_sweeps}); "
                 "this should be impossible for a finite exact potential game"
             )
-    return SolveReport(history[-1], history, rounds, instance, objective)
+    return SolveReport(history[-1], history, len(history) - 1, instance, objective)
 
 
 def brd_solve(instance: Instance) -> SolveReport:
@@ -171,7 +171,9 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     A utility depends only on how many vehicles share each route edge.  A
     vehicle's mates are the other movers that share a time with it, those
     whose runs of slots in ``Instance._all_times`` overlap its own; a
-    mate's depth is how many leading edges of the route it drives too.  At
+    mate's depth is how many leading edges of the route it drives too, the
+    common prefix of the two routes (each runs from the root of a tree, so
+    two share that prefix and no other edge, at the same positions).  At
     action ``k`` the route's m-th edge holds 1 plus the one-action vehicles
     and the mates at that time deeper than m.  So one table, over the
     vehicle's actions and the mate counts per depth (at most
@@ -218,10 +220,6 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
     # more, so this also refuses more movers than numpy 2's 64 axes can hold.
     if size > np.iinfo(np.intp).max:
         raise ValueError(too_many)
-    users: list[list[int]] = [[] for _ in instance._lengths]
-    for j, route in enumerate(instance._routes):
-        for e in route:
-            users[e].append(j)
     # the walk's product f[n] * d(e), made once per head count and edge
     f = np.array(instance._f)
     saving = [f * d for d in instance._lengths]
@@ -247,10 +245,7 @@ def brute_force_nash(instance: Instance, cap: int = 1_000_000) -> set[tuple[floa
         for axis, idx in enumerate(movers):
             route = instance._routes[idx]
             lo, width = first[idx], widths[idx]
-            depth = [0] * len(widths)
-            for e in route:
-                for j in users[e]:
-                    depth[j] += 1
+            depth = [sum(map(operator.eq, route, other)) for other in instance._routes]
             # vehicle j's actions are the slots first[j] to first[j] + widths[j] - 1
             mates = [j for j in movers if j != idx and lo - widths[j] < first[j] < lo + width]
             at_depth = Counter(depth[j] for j in mates)

@@ -236,17 +236,26 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, replications, scen
     assert replications == []  # a sweep checks all of its input before the first replication
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "file.txt/x.csv"])
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("missing/x.csv", "--out {path}: no directory {path.parent}"),
+        ("file.txt/x.csv", "--out {path}: no directory {path.parent}"),
+        ("folder", "--out {path}: is a directory, not a file"),
+    ],
+    ids=["missing/x.csv", "file.txt/x.csv", "folder"],
+)
 def test_sweep_rejects_an_out_path_without_a_directory_before_running(tmp_path, capsys,
-                                                                     monkeypatch, out):
+                                                                     monkeypatch, out, message):
     def ran(*args):
         raise AssertionError("the sweep ran before its output path was checked")
 
     monkeypatch.setattr("platoonmatch.cli.sweep_alpha", ran)
     (tmp_path / "file.txt").write_text("")
+    (tmp_path / "folder").mkdir()
     path = tmp_path / out
     assert_rejected(tmp_path, capsys, None, ("sweep", "--out", str(path)),
-                    re.escape(f"--out {path}: no directory {path.parent}"))
+                    re.escape(message.format(path=path)))
 
 
 @pytest.mark.parametrize(

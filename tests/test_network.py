@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+from operator import eq
 from pathlib import Path
 
 import pytest
@@ -171,3 +173,16 @@ def test_routes_match_parent_walk_on_random_trees(seed):
     assert set(net.routes) == nodes - {"v1"}
     for node in nodes - {"v1"}:
         assert route_pairs(net, node) == ref_path(edges, "v1", node)
+
+
+def test_two_routes_share_exactly_their_common_prefix(fig3):
+    # brute_force_nash counts the edges two vehicles share as the common
+    # prefix of their routes: every route runs from the root of a tree
+    nets = [fig3] + [RoadNetwork(random_tree_edges(np.random.default_rng(seed)), "v1")
+                     for seed in range(500)]
+    pairs = 0
+    for net in nets:
+        for a, b in itertools.product(net.routes.values(), repeat=2):
+            assert sum(map(eq, a, b)) == len(set(a) & set(b)), (a, b)
+            pairs += 1
+    assert pairs > 10_000

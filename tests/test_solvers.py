@@ -22,8 +22,10 @@ from platoonmatch import (
     evaluate,
     feasible_actions,
     is_nash,
+    nonplatooning_fraction,
     paper_fig3,
     potential,
+    total_fuel_saving,
     vehicle_utility,
 )
 from _reference import (
@@ -384,6 +386,40 @@ def test_profile_entries_not_actions_rejected_everywhere(merge_trio, bad):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        # a set iterates as (0.5, 100.0), though (100.0, 0.5) is another profile
+        (lambda: {100.0, 0.5}, "set"),
+        (lambda: frozenset((100.0, 0.5)), "frozenset"),
+        (lambda: {100.0: 1, 0.5: 2}, "dict"),
+        (lambda: None, "NoneType"),
+        (lambda: (t for t in (100.0, 0.5)), "generator"),
+        (lambda: 2, "int"),
+    ],
+    ids=["set", "frozenset", "dict", "None", "generator", "int"],
+)
+def test_a_profile_that_is_no_sequence_is_rejected_everywhere(fig3, make, kind):
+    inst = Instance(
+        fig3,
+        [Vehicle(1, "v4", 0.5, (-500.0, 500.0)), Vehicle(2, "v5", 100.0, (-400.0, 600.0))],
+    )
+    assert potential(inst, (0.5, 100.0)) != potential(inst, (100.0, 0.5))
+    for sequence in ([100.0, 0.5], np.array([100.0, 0.5])):  # still read in vehicle order
+        assert potential(inst, sequence) == potential(inst, (100.0, 0.5))
+    message = re.escape(
+        f"profile must be a sequence of departure times in vehicle order, not {kind}")
+    calls = [potential, cooperative_utility, total_fuel_saving, nonplatooning_fraction,
+             evaluate, is_nash,
+             lambda inst, s: vehicle_utility(inst, s, 1),
+             lambda inst, s: best_response(inst, s, 1)]
+    if make() is not None:  # coop_solve's start=None means "from the equilibrium"
+        calls.append(lambda inst, s: coop_solve(inst, start=s))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call(inst, make())
 
 
 # ---------------------------------------------------------------------------
