@@ -1,8 +1,9 @@
 """Byte-for-byte pins of CLI output on fixed inputs.
 
-The sweep and solve files under ``tests/golden/`` were written by the
+The sweep and solve JSON files under ``tests/golden/`` were written by the
 full-recompute evaluation code that preceded the incremental platoon-state
-kernel, the ``oracle_*.txt`` files by the enumeration that followed the
+kernel, the solve CSV files and ``dump_generated-n60.scn`` by the command
+line before its file flags shared one writer, the ``oracle_*.txt`` files by the enumeration that followed the
 profiles with that kernel's state, and ``demo-fig4_seed60.txt`` by the
 kernel before the solvers and ``is_nash`` shared one stability rule.  Any
 change to solver decisions, round counts, the equilibrium set or the
@@ -96,6 +97,25 @@ def test_solve_matches_golden(tmp_path, scenario, mode):
     assert main(["solve", str(scenario), "--mode", mode, "--out", str(out)]) == 0
     golden = GOLDEN / f"solve_{scenario.stem}_{mode}.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "scenario, mode",
+    [(SCENARIOS / "fig3-network.scn", "ne"), (SCENARIOS / "coop-merge.scn", "coop")],
+    ids=["fig3-network-ne", "coop-merge-coop"],
+)
+def test_solve_csv_matches_golden(tmp_path, scenario, mode):
+    out = tmp_path / "solve.csv"
+    assert main(["solve", str(scenario), "--mode", mode, "--format", "csv", "--out", str(out)]) == 0
+    golden = GOLDEN / f"solve_{scenario.stem}_{mode}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_dump_scenario_matches_golden(tmp_path):
+    dump = tmp_path / "dump.scn"
+    argv = ["solve", str(GOLDEN / "generated-n60.scn"), "--out", str(tmp_path / "solve.json")]
+    assert main([*argv, "--dump-scenario", str(dump)]) == 0
+    assert dump.read_bytes() == (GOLDEN / "dump_generated-n60.scn").read_bytes()
 
 
 SOLVE_N200 = (
