@@ -309,11 +309,20 @@ def _solve_csv(instance: Instance, payload: dict) -> str:
     return buf.getvalue()
 
 
-def _write_out(text: str, out: str | None):
-    if out and out != "-":
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _output(flag: str, value: str | None):
+    """The writer of a file flag's text, checked before the command does any work.
+
+    ``-``, an empty value and no value write to standard output; any other
+    value names a file, written as UTF-8, whose directory must exist.
+    """
+    if not value or value == "-":
+        return sys.stdout.write
+    path = Path(value)
+    if not path.parent.is_dir():
+        raise ValueError(f"{flag} {value}: no directory {path.parent}")
+    if path.is_dir():
+        raise ValueError(f"{flag} {value}: is a directory, not a file")
+    return functools.partial(path.write_text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +330,18 @@ def _write_out(text: str, out: str | None):
 
 
 def cmd_solve(args) -> int:
+    write = _output("--out", args.out)
+    # an empty --dump-scenario asks for no dump, not for standard output
+    dump = _output("--dump-scenario", args.dump_scenario) if args.dump_scenario else None
     instance = load_scenario(args.scenario, seed_override=args.seed)
-    if args.dump_scenario:
-        Path(args.dump_scenario).write_text(dump_scenario(instance), encoding="utf-8")
+    if dump:
+        dump(dump_scenario(instance))
     report = brd_solve(instance) if args.mode == "ne" else coop_solve(instance)
     payload = _solve_payload(instance, report, args.mode)
     if args.format == "json":
-        _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+        write(json.dumps(payload, indent=2) + "\n")
     else:
-        _write_out(_solve_csv(instance, payload), args.out)
+        write(_solve_csv(instance, payload))
     return 0
 
 
@@ -382,13 +394,7 @@ def _parse_alphas(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    # a sweep writes only at its end, so a path it cannot write fails first
-    if args.out and args.out != "-":
-        out = Path(args.out)
-        if not out.parent.is_dir():
-            raise ValueError(f"--out {args.out}: no directory {out.parent}")
-        if out.is_dir():
-            raise ValueError(f"--out {args.out}: is a directory, not a file")
+    write = _output("--out", args.out)
     network = PRESETS[args.preset]()
     config = ScenarioConfig(
         network=network,
@@ -400,7 +406,7 @@ def cmd_sweep(args) -> int:
     )
     alphas = default_alpha_grid() if args.alphas is None else _parse_alphas(args.alphas)
     result = sweep_alpha(config, alphas, args.reps)
-    _write_out(result.to_csv(), args.out)
+    write(result.to_csv())
     for key, rho in trend_summary(result).items():
         print(f"spearman {key} vs alpha: {rho:+.3f}")
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 from platoonmatch import Instance, ModelParams, RoadNetwork, Vehicle, feasible_actions
 
@@ -156,6 +157,23 @@ def random_instance(
             )
         )
     return Instance(net, vehicles, params or ModelParams())
+
+
+def random_path_instance(rng, params=None):
+    """A path of 5 to 60 edges with 2 to 11 vehicles bound for its nodes.
+
+    Edge lengths are drawn from ``[1000, 200000)`` m, preferred times from
+    ``[0, 1000)`` s and window half-widths from ``[50, 1000)`` s.
+    """
+    m = int(rng.integers(5, 61))
+    nodes = [f"p{i}" for i in range(m + 1)]
+    edges = [(a, b, float(rng.uniform(1_000.0, 200_000.0))) for a, b in zip(nodes, nodes[1:])]
+    vehicles = []
+    for i in range(int(rng.integers(2, 12))):
+        t = float(rng.uniform(0.0, 1000.0))
+        h = float(rng.uniform(50.0, 1000.0))
+        vehicles.append(Vehicle(i + 1, nodes[int(rng.integers(1, m + 1))], t, (t - h, t + h)))
+    return Instance(RoadNetwork(edges, nodes[0]), vehicles, params or ModelParams())
 
 
 def all_actions(instance):
@@ -334,3 +352,38 @@ def ref_brute_force_nash(instance):
     return {
         s for s in itertools.product(*all_actions(instance)) if ref_is_nash(instance, s)
     }
+
+
+# ---------------------------------------------------------------------------
+# Exact arithmetic: the kernel's compared values from the same float inputs,
+# with no rounding after them.  ``Instance._tol`` bounds the kernel's error
+# against these by half of itself.
+
+
+def exact_values(instance, profile, idx, objective):
+    """What ``_PlatoonState.scan`` compares for vehicle ``idx``, in exact arithmetic.
+
+    One ``Fraction`` per feasible action, in action order.  Every float is a
+    dyadic rational, so each value is exact in the same float inputs: the
+    table ``f`` (for ``"self"``) or ``dg`` (for ``"cooperative"``), the edge
+    lengths and the penalty row.  Head counts are recomputed from the
+    profile.  For ``"self"`` an action's value is the vehicle's utility
+    there; for ``"cooperative"`` it is the change in the sum of all
+    utilities when the vehicle moves there, 0 at its current action.
+    """
+    table = [Fraction(x) for x in (instance._f if objective == "self" else instance._dg)]
+    routes = instance._routes
+    actions = feasible_actions(instance, idx + 1)
+    others = [j for j in range(instance.n_vehicles) if j != idx]
+    values = []
+    for a, pen in zip(actions, instance._pen[idx]):
+        members = [j for j in others if profile[j] == a] + [idx]
+        saving = sum(
+            table[sum(e in routes[j] for j in members)] * Fraction(instance._lengths[e])
+            for e in routes[idx]
+        )
+        values.append(saving - Fraction(pen))
+    if objective == "self":
+        return values
+    here = values[actions.index(profile[idx])]
+    return [v - here for v in values]

@@ -236,26 +236,42 @@ def test_rejection_names_its_input_and_line(tmp_path, capsys, replications, scen
     assert replications == []  # a sweep checks all of its input before the first replication
 
 
-@pytest.mark.parametrize(
-    "out, message",
-    [
-        ("missing/x.csv", "--out {path}: no directory {path.parent}"),
-        ("file.txt/x.csv", "--out {path}: no directory {path.parent}"),
-        ("folder", "--out {path}: is a directory, not a file"),
-    ],
-    ids=["missing/x.csv", "file.txt/x.csv", "folder"],
-)
-def test_sweep_rejects_an_out_path_without_a_directory_before_running(tmp_path, capsys,
-                                                                     monkeypatch, out, message):
-    def ran(*args):
-        raise AssertionError("the sweep ran before its output path was checked")
+#: the three paths a file flag cannot write, each with its message
+BAD_PATHS = [
+    ("missing/x.csv", "{flag} {path}: no directory {path.parent}"),
+    ("file.txt/x.csv", "{flag} {path}: no directory {path.parent}"),
+    ("folder", "{flag} {path}: is a directory, not a file"),
+]
+#: test id prefix -> (the arguments ahead of the flag, file flag)
+FILE_FLAGS = {
+    "": (("sweep",), "--out"),
+    "solve-out-": (("solve", str(SCENARIOS / "two-vehicles.scn")), "--out"),
+    "solve-dump-scenario-": (("solve", str(SCENARIOS / "two-vehicles.scn")), "--dump-scenario"),
+}
 
-    monkeypatch.setattr("platoonmatch.cli.sweep_alpha", ran)
+
+@pytest.mark.parametrize(
+    "command, flag, out, message",
+    [(command, flag, out, message)
+     for command, flag in FILE_FLAGS.values() for out, message in BAD_PATHS],
+    ids=[prefix + out for prefix in FILE_FLAGS for out, _ in BAD_PATHS],
+)
+def test_sweep_rejects_an_out_path_without_a_directory_before_running(
+        tmp_path, capsys, monkeypatch, command, flag, out, message):
+    """Every file flag of ``sweep`` and ``solve`` is checked before the scenario
+    is read or anything is solved, and a rejected one leaves no file behind."""
+    def ran(*args, **kwargs):
+        raise AssertionError(f"the work began before {flag} was checked")
+
+    for name in ("load_scenario", "brd_solve", "coop_solve", "sweep_alpha"):
+        monkeypatch.setattr(f"platoonmatch.cli.{name}", ran)
     (tmp_path / "file.txt").write_text("")
     (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
     path = tmp_path / out
-    assert_rejected(tmp_path, capsys, None, ("sweep", "--out", str(path)),
-                    re.escape(message.format(path=path)))
+    assert_rejected(tmp_path, capsys, None, (*command, flag, str(path)),
+                    re.escape(message.format(flag=flag, path=path)))
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
@@ -600,6 +616,23 @@ def test_solve_writes_file_and_dump(capsys, tmp_path, two_vehicles):
     assert code == 0
     assert json.loads(out_path.read_text())["total_fuel_saving"] == pytest.approx(8.0)
     assert load_scenario(dump_path) == load_scenario(two_vehicles)
+
+
+def test_solve_dump_scenario_dash_prints_the_scenario_ahead_of_the_json(capsys, two_vehicles):
+    code, out, _ = run_cli(capsys, "solve", str(two_vehicles), "--dump-scenario", "-")
+    assert code == 0
+    dumped = dump_scenario(load_scenario(two_vehicles))
+    assert out.startswith(dumped)
+    assert out[len(dumped):] == run_cli(capsys, "solve", str(two_vehicles))[1]
+
+
+def test_solve_empty_file_flags_mean_not_given(capsys, tmp_path, monkeypatch, two_vehicles):
+    # an empty --out is standard output, an empty --dump-scenario no dump
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "solve", str(two_vehicles), "--out", "", "--dump-scenario", "")
+    assert code == 0
+    assert out == run_cli(capsys, "solve", str(two_vehicles))[1]
+    assert list(tmp_path.iterdir()) == [two_vehicles]
 
 
 def test_solve_missing_file_errors(capsys, tmp_path):

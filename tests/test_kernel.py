@@ -6,14 +6,19 @@ the equilibrium check and enumeration must return the same answers.  A
 second property runs the kernel at parameter scales far from the defaults,
 where its per-edge delta arithmetic rounds differently from a full
 recompute.  A third scales every amount of money by a power of two, which
-must change no decision.
+must change no decision.  The last two hold the kernel against exact
+rational arithmetic: its compared values lie within half the instance's
+tolerance of the exact ones, and every sweep move gains exactly.
 """
 
 import itertools
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from platoonmatch import game, solvers
 from platoonmatch import (
     Instance,
     ModelParams,
@@ -30,8 +35,10 @@ from platoonmatch import (
 from _reference import (
     all_actions,
     custom_params,
+    exact_values,
     lone_saving_params,
     random_instance,
+    random_path_instance,
     random_profile,
     ref_brute_force_nash,
     ref_candidate_values,
@@ -40,6 +47,7 @@ from _reference import (
     ref_sweep_solve,
 )
 from test_golden import NASH_TOLS, stable_at
+from test_solvers import _penalty_instance, near_tie_penalties
 
 
 @st.composite
@@ -163,3 +171,60 @@ def test_a_power_of_two_money_unit_changes_no_decision(data, s):
         assert is_nash(scaled, p) == is_nash(inst, p)
     if np.prod([len(a) for a in all_actions(inst)]) <= 3000:
         assert brute_force_nash(scaled) == brute_force_nash(inst)
+
+
+#: the models of ``exact_instances``: default, custom, lone-saving and no penalty
+EXACT_MODELS = [ModelParams, custom_params, lone_saving_params, lambda: ModelParams(k_t=0.0)]
+
+
+@st.composite
+def exact_instances(draw):
+    """An instance where the tolerance's bound is put to the test, with a
+    generator for its profiles: a random tree or a path of up to 60 edges
+    under one of ``EXACT_MODELS``, or penalty rows of ``near_tie_penalties``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tree", "path", "near-tie"]))
+    if kind == "near-tie":
+        return _penalty_instance(draw(near_tie_penalties())), rng
+    params = draw(st.sampled_from(EXACT_MODELS))()
+    if kind == "path":
+        return random_path_instance(rng, params), rng
+    return random_instance(rng, max_nodes=8, max_vehicles=6, params=params), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_instances())
+def test_scan_values_lie_within_half_the_tolerance_of_exact(data):
+    inst, rng = data
+    half = Fraction(inst._tol) / 2
+    for s in (inst.preferred_profile, random_profile(inst, rng)):
+        state = game._PlatoonState(inst, s)
+        for idx in range(inst.n_vehicles):
+            for objective in ("self", "cooperative"):
+                vcur, vbest, kbest = state.scan(idx, objective)
+                exact = exact_values(inst, s, idx, objective)
+                assert abs(Fraction(vcur) - exact[state.ks[idx]]) <= half
+                if kbest is not None:
+                    assert abs(Fraction(vbest) - exact[kbest]) <= half
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_instances())
+def test_every_sweep_move_gains_exactly(data):
+    # So each move raises the potential or the common utility of the float
+    # tables exactly, which no profile can do forever: the sweeps end.
+    inst, rng = data
+    gains = []
+    decide = solvers._decide
+
+    def checked(state, idx, objective, tol):
+        k = decide(state, idx, objective, tol)
+        if k is not None:
+            exact = exact_values(inst, state.times, idx, objective)
+            gains.append(exact[k] - exact[state.ks[idx]])
+        return k
+
+    with mock.patch.object(solvers, "_decide", checked):
+        coop_solve(inst)
+        coop_solve(inst, start=random_profile(inst, rng))
+    assert all(gain > 0 for gain in gains)
