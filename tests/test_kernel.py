@@ -211,8 +211,9 @@ def test_scan_values_lie_within_half_the_tolerance_of_exact(data):
 @settings(max_examples=100, deadline=None)
 @given(exact_instances())
 def test_every_sweep_move_gains_exactly(data):
-    # So each move raises the potential or the common utility of the float
-    # tables exactly, which no profile can do forever: the sweeps end.
+    # A positive exact gain raises the exact potential (or common utility)
+    # built from the float tables, and a finite profile space holds no endless
+    # rise: the sweeps end.
     inst, rng = data
     gains = []
     decide = solvers._decide
